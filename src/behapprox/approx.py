@@ -157,21 +157,20 @@ def prune_fixpoint(full: FullEnactedSystem) -> PrunedFull:
 def project_indexes(pruned: PrunedFull) -> Ltfs:
     """Drop delegation indexes; merge transitions that differ only in them.
 
-    States are the kept product states (by label, in product interning
-    order); the result is typically nondeterministic.
+    The i-th state is kept product state ``pruned.kept_state_ids[i]``,
+    named by its label; the result is typically nondeterministic.
     """
     base = pruned.base
     name = f"{base.target.name}_pruned"
-    initial = base.state_label(base.initial)
-    states = tuple(base.state_label(i) for i in pruned.kept_state_ids)
+    label = {i: base.state_label(i) for i in pruned.kept_state_ids}
     seen = set()
     transitions = []
     for s, a, _, d in pruned.kept_transitions:
-        t = (base.state_label(s), a, base.state_label(d))
-        if t not in seen:
-            seen.add(t)
-            transitions.append(t)
-    return Ltfs(name, states, initial, tuple(transitions))
+        if (s, a, d) not in seen:
+            seen.add((s, a, d))
+            transitions.append((label[s], a, label[d]))
+    return Ltfs(name, tuple(label.values()), base.state_label(base.initial),
+                tuple(transitions))
 
 
 @dataclass(frozen=True)
@@ -228,7 +227,11 @@ def extract_controller_generator(pruned: PrunedFull) -> ControllerGenerator:
 
 @dataclass(frozen=True)
 class ApproxResult:
-    """Everything the pipeline produced, from raw product to quotient."""
+    """Every stage the pipeline produced, from raw product to quotient.
+
+    The safe delegations are the kept transitions of ``pruned``;
+    ``extract_controller_generator(result.pruned)`` indexes them by request.
+    """
 
     system: SystemSpec
     target: Ltfs
@@ -237,7 +240,6 @@ class ApproxResult:
     projection: Ltfs
     partition: Partition
     approx: Ltfs
-    generator: object  # ControllerGenerator, or None when empty
 
     @property
     def is_empty(self) -> bool:
@@ -246,10 +248,10 @@ class ApproxResult:
     @cached_property
     def block_members(self) -> dict:
         """Quotient state name -> tuple of kept product state ids."""
-        label_to_id = {
-            self.full.state_label(i): i for i in self.pruned.kept_state_ids}
+        kept = self.pruned.kept_state_ids
+        position = self.projection.state_index
         return {
-            f"q{i}": tuple(label_to_id[lbl] for lbl in block)
+            f"q{i}": tuple(kept[position[s]] for s in block)
             for i, block in enumerate(self.partition.blocks)}
 
     @cached_property
@@ -258,16 +260,15 @@ class ApproxResult:
 
 
 def approximate(system: SystemSpec, target: Ltfs) -> ApproxResult:
-    """Run the full pipeline and keep all intermediate artifacts."""
+    """Run the full pipeline and keep every stage's artifact."""
     full = full_enacted_system(system, target)
     pruned = prune_fixpoint(full)
     projection = project_indexes(pruned)
     partition = bisim_partition(projection)
     compressed = quotient(projection, partition).renamed(
         f"{target.name}_approx")
-    generator = None if pruned.is_empty else extract_controller_generator(pruned)
     return ApproxResult(system, target, full, pruned, projection, partition,
-                        compressed, generator)
+                        compressed)
 
 
 def compute_approx(system: SystemSpec, target: Ltfs) -> Ltfs:

@@ -1,10 +1,11 @@
 """Step-wise controller execution against a nondeterministic system.
 
-Two kinds of controller run here.  A ControllerTable is a positional map
-from (system state tuple, requested transition) to a delegation index; it
-either honors a request or it does not.  An imported session instead runs
-the controller generator of a computed approximation, tracking the set of
-all pruned-product states consistent with the observed history (the
+Two kinds of controller run here.  A ControllerTable maps a (system
+state tuple, requested transition) pair to a delegation index, listed in
+a dict or given by a rule on the requested action; it either honors a
+request or it does not.  An imported session instead replays the
+kept transitions of a computed approximation, tracking the set of all
+pruned-product states consistent with the observed history (the
 "candidates") and delegating through any of them.
 
 Sessions are single-owner mutable objects.  Everything they reference
@@ -12,11 +13,13 @@ Sessions are single-owner mutable objects.  Everything they reference
 sessions can run side by side.
 """
 
+import itertools
+import math
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .errors import SessionError
-from .product import enacted_system
 
 
 def _replace_component(sys_states, k, new_state):
@@ -25,12 +28,14 @@ def _replace_component(sys_states, k, new_state):
 
 @dataclass(frozen=True, eq=False)
 class ControllerTable:
-    """Positional controller: (system state tuple, target transition) -> index.
+    """Controller table: (system state tuple, target transition) -> index.
 
-    Missing keys mean the controller does not honor the request.
+    ``entries`` is an explicit dict, or the rule mapping that
+    ``constant_controller`` and ``action_controller`` build. Missing keys
+    mean the controller does not honor the request.
     """
 
-    entries: dict
+    entries: Mapping
     name: str = "table"
 
     def lookup(self, sys_states, request):
@@ -43,16 +48,43 @@ class ControllerTable:
         return len(self.entries)
 
 
+class _ActionRule(Mapping):
+    """The entries of a delegation by requested action, answered from the rule.
+
+    Keys pair every tuple of declared behavior states with every target
+    transition whose action the rule maps; none of them is listed.
+    """
+
+    def __init__(self, system, target, mapping):
+        self._by_action = dict(mapping)
+        self._requests = dict.fromkeys(
+            t for t in target.transitions if t[1] in mapping)
+        self._declared = tuple(b.state_index for b in system.behaviors)
+
+    def __getitem__(self, key):
+        sys_states, request = key
+        if (request in self._requests
+                and len(sys_states) == len(self._declared)
+                and all(s in d for s, d in zip(sys_states, self._declared))):
+            return self._by_action[request[1]]
+        raise KeyError(key)
+
+    def __len__(self):
+        return math.prod(map(len, self._declared)) * len(self._requests)
+
+    def __iter__(self):
+        for sys_states in itertools.product(*self._declared):
+            for request in self._requests:
+                yield sys_states, request
+
+
 def constant_controller(system, target, index, name=None):
     """Table delegating every request everywhere to one behavior index."""
     if not 1 <= index <= system.size:
         raise ValueError("delegation index %d out of range 1..%d" % (index, system.size))
-    es = enacted_system(system, include_unreachable=True)
-    entries = {}
-    for sys_states in es.states:
-        for tr in target.transitions:
-            entries[(sys_states, tr)] = index
-    return ControllerTable(entries, name or ("all-to-%d" % index))
+    return ControllerTable(
+        _ActionRule(system, target, dict.fromkeys(target.actions, index)),
+        name or ("all-to-%d" % index))
 
 
 def action_controller(system, target, mapping, name=None):
@@ -64,13 +96,8 @@ def action_controller(system, target, mapping, name=None):
                 "delegation index %d for action %r out of range 1..%d"
                 % (index, action, system.size)
             )
-    es = enacted_system(system, include_unreachable=True)
-    entries = {}
-    for sys_states in es.states:
-        for tr in target.transitions:
-            if tr[1] in mapping:
-                entries[(sys_states, tr)] = mapping[tr[1]]
-    return ControllerTable(entries, name or "by-action")
+    return ControllerTable(_ActionRule(system, target, mapping),
+                           name or "by-action")
 
 
 class RandomResolver:
@@ -152,7 +179,7 @@ class Session:
     """One run of a controller against a system.
 
     Table mode answers requests drawn from the target's transitions.
-    Imported mode replays the controller generator of an ApproxResult and
+    Imported mode replays the kept transitions of an ApproxResult and
     accepts requests in one of two vocabularies, fixed at construction:
     "target" (transitions of the original target) or "approx" (transitions
     of the computed approximation, steering delegation into the requested

@@ -19,6 +19,7 @@ from functools import cached_property
 
 from .errors import GameError, E_NONDETERMINISTIC_SYSTEM
 from .model import Ltfs, SystemSpec, is_deterministic
+from .product import join_label, label_escape
 from .simrel import quotient
 
 START = "start"
@@ -112,15 +113,9 @@ def build_game(system: SystemSpec, target: Ltfs) -> GameStructure:
     initial_states = [
         (init_sys, START, req)
         for req in target.transitions_from(target.initial)]
-    ids: dict = {}
-    order: list = []
-    for s in initial_states:
-        if s not in ids:
-            ids[s] = len(order)
-            order.append(s)
-    queue = list(order)
-    while queue:
-        sys_states, _, (_, action, t_next) = state = queue.pop(0)
+    order = list(dict.fromkeys(initial_states))
+    ids = {s: i for i, s in enumerate(order)}
+    for sys_states, _, (_, action, t_next) in order:  # grows as it goes
         for k, b in enumerate(system.behaviors, start=1):
             succs = b.successors(sys_states[k - 1], action)
             if not succs:
@@ -132,7 +127,6 @@ def build_game(system: SystemSpec, target: Ltfs) -> GameStructure:
                 if nxt not in ids:
                     ids[nxt] = len(order)
                     order.append(nxt)
-                    queue.append(nxt)
     return GameStructure(system, target,
                          tuple(order),
                          tuple(ids[s] for s in initial_states))
@@ -183,20 +177,20 @@ def extract_approx_from_game(game: GameStructure, winning: WinningSet,
     if winning.mode != "existential":
         raise ValueError("extraction expects an existential winning set")
 
-    def proj(state) -> str:
-        sys_states, _, (t_src, _, _) = state
-        return f"{','.join(sys_states)}|{t_src}"
-
-    initial_label = f"{','.join(game.system.initial_tuple)}|{game.target.initial}"
+    escape = label_escape(game.system.behaviors + (game.target,))
+    initial_label = join_label(game.system.initial_tuple, game.target.initial,
+                               escape)
+    label = {}
+    for i in sorted(winning.members):
+        sys_states, _, (t_src, _, _) = game.states[i]
+        label[i] = join_label(sys_states, t_src, escape)
 
     adjacency: dict = {}
-    for i in sorted(winning.members):
-        src = proj(game.states[i])
+    for i, src in label.items():
         action = game.states[i][2][1]
         for _, _, j in game.successor_table[i]:
-            if j in winning.members:
-                adjacency.setdefault(src, []).append(
-                    (action, proj(game.states[j])))
+            if j in label:
+                adjacency.setdefault(src, []).append((action, label[j]))
 
     # winning initial states all project onto the initial label already;
     # keep only what the initial label can reach
@@ -204,10 +198,7 @@ def extract_approx_from_game(game: GameStructure, winning: WinningSet,
     seen = {initial_label}
     transitions = []
     seen_trans = set()
-    idx = 0
-    while idx < len(order):
-        src = order[idx]
-        idx += 1
+    for src in order:  # grows as it goes
         for action, dst in adjacency.get(src, ()):
             if dst not in seen:
                 seen.add(dst)

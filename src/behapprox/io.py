@@ -251,36 +251,33 @@ def export_dot(model, show_removed=False):
         edges = [(src, action, dst, False)
                  for (src, action, dst) in model.transitions]
         return _dot_document(model.name, model.initial, nodes, edges)
-    if isinstance(model, (EnactedSystem, FullEnactedSystem)):
-        nodes = [(model.state_label(i), False) for i in range(len(model.states))]
-        edges = [(model.state_label(src), "%s,%d" % (action, k),
-                  model.state_label(dst), False)
-                 for (src, action, k, dst) in model.transitions]
+    if isinstance(model, PrunedFull):
+        base = model.base
+        name = "%s|%s pruned" % (base.system.name, base.target.name)
+        kept_states, kept_transitions = (model.kept_state_set,
+                                         model.kept_transition_set)
+    elif isinstance(model, (EnactedSystem, FullEnactedSystem)):
+        base, kept_states, kept_transitions = model, None, None
         name = model.system.name
         if isinstance(model, FullEnactedSystem):
             name = "%s|%s" % (model.system.name, model.target.name)
-        return _dot_document(name, model.state_label(model.initial), nodes, edges)
-    if isinstance(model, PrunedFull):
-        base = model.base
-        kept_states = model.kept_state_set
-        kept_transitions = model.kept_transition_set
-        nodes = []
-        for i in range(len(base.states)):
-            if i in kept_states:
-                nodes.append((base.state_label(i), False))
-            elif show_removed:
-                nodes.append((base.state_label(i), True))
-        edges = []
-        for transition in base.transitions:
-            kept = transition in kept_transitions
-            if not kept and not show_removed:
-                continue
+    else:
+        raise TypeError("cannot render %r as DOT" % type(model).__name__)
+    labels = [base.state_label(i) for i in range(len(base.states))]
+    nodes = []
+    for i, label in enumerate(labels):
+        removed = kept_states is not None and i not in kept_states
+        if show_removed or not removed:
+            nodes.append((label, removed))
+    edges = []
+    for transition in base.transitions:
+        removed = (kept_transitions is not None
+                   and transition not in kept_transitions)
+        if show_removed or not removed:
             (src, action, k, dst) = transition
-            edges.append((base.state_label(src), "%s,%d" % (action, k),
-                          base.state_label(dst), not kept))
-        name = "%s|%s pruned" % (base.system.name, base.target.name)
-        return _dot_document(name, base.state_label(base.initial), nodes, edges)
-    raise TypeError("cannot render %r as DOT" % type(model).__name__)
+            edges.append((labels[src], "%s,%d" % (action, k), labels[dst],
+                          removed))
+    return _dot_document(name, labels[base.initial], nodes, edges)
 
 
 # ---------------------------------------------------------------------------

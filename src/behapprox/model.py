@@ -113,10 +113,18 @@ class Ltfs:
             table.setdefault((s, a), []).append(d)
         return {k: tuple(v) for k, v in table.items()}
 
+    @cached_property
+    def _out(self) -> dict:
+        table: dict[str, list[Transition]] = {}
+        for t in self.transitions:
+            table.setdefault(t[0], []).append(t)
+        return {s: tuple(v) for s, v in table.items()}
+
     # -- queries ---------------------------------------------------------
 
     def transitions_from(self, state: str) -> tuple[Transition, ...]:
-        return tuple(t for t in self.transitions if t[0] == state)
+        """Outgoing transitions of a state, in declaration order."""
+        return self._out.get(state, ())
 
     def successors(self, state: str, action: str) -> tuple[str, ...]:
         return self._succ.get((state, action), ())
@@ -124,9 +132,6 @@ class Ltfs:
     def out_degree(self, state: str) -> int:
         i = self.state_index[state]
         return len(self.iadjacency[i])
-
-    def has_state(self, state: str) -> bool:
-        return state in self.state_index
 
     def renamed(self, name: str) -> "Ltfs":
         return Ltfs(name, self.states, self.initial, self.transitions)

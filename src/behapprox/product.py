@@ -10,14 +10,18 @@ Two products matter:
   that end up with no outgoing move (dead ends) are kept, deliberately:
   they are exactly what the pruning stage feeds on.
 
-Both are built reachable-first by breadth-first search, interning states to
-dense integers in discovery order; discovery order itself is fixed by
-declaration order of behaviors, transitions and indexes, so the products
-are deterministic artifacts. Full materialization (unreachable state tuples
-included) is available behind a flag for inspection and counting.
+Both are built by one breadth-first search over the reachable states,
+interning states to dense integers in discovery order; discovery order
+itself is fixed by declaration order of behaviors, transitions and indexes,
+so the products are deterministic artifacts.
+
+State labels join behavior state names with ``,`` and append the target
+state after ``|``. When some state name holds ``\\``, ``,`` or ``|``, each
+such character is escaped with a backslash, so distinct states always get
+distinct labels; whether to escape is decided once per product.
 """
 
-import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,37 +32,52 @@ from .model import Ltfs, SystemSpec
 IndexedTransition = tuple[int, str, int, int]
 
 
-def _label_sys(sys_states: tuple) -> str:
-    return ",".join(sys_states)
+def _escape_name(name: str) -> str:
+    return name.replace("\\", "\\\\").replace(",", "\\,").replace("|", "\\|")
 
 
-@dataclass(frozen=True)
-class EnactedSystem:
-    """Asynchronous product of the system's behaviors.
+def label_escape(models):
+    """The name escape labels over these models need: None when no state
+    name holds a reserved character, so ordinary labels are plain joins."""
+    if any(c in s for m in models for s in m.states for c in "\\,|"):
+        return _escape_name
+    return None
 
-    ``states[i]`` is the tuple of per-behavior state names for interned
-    state i; state 0 is always the initial state when built reachable-first.
+
+def join_label(sys_states, target_state=None, escape=None) -> str:
+    """Label a behavior state tuple, paired with a target state if given."""
+    if escape is not None:
+        sys_states = map(escape, sys_states)
+        if target_state is not None:
+            target_state = escape(target_state)
+    text = ",".join(sys_states)
+    return text if target_state is None else f"{text}|{target_state}"
+
+
+class _Product:
+    """What both products share: interned states, indexed transitions, labels.
+
+    ``states[i]`` is interned state i, state 0 is the initial state, and
+    ``transitions`` holds ``IndexedTransition``s grouped by source id.
     """
 
-    system: SystemSpec
-    states: tuple            # tuple of tuples of behavior state names
-    initial: int
-    transitions: tuple       # of IndexedTransition
+    @property
+    def _factors(self) -> tuple:
+        return self.system.behaviors
 
     @property
     def potential_state_count(self) -> int:
         """Cardinality of the unrestricted product of state sets."""
-        n = 1
-        for b in self.system.behaviors:
-            n *= len(b.states)
-        return n
+        return math.prod(len(m.states) for m in self._factors)
+
+    def __post_init__(self):
+        # Set at construction, not as a cached property: filling the
+        # instance dict later slows every attribute read on the product.
+        object.__setattr__(self, "_escape", label_escape(self._factors))
 
     @cached_property
     def state_id(self) -> dict:
         return {s: i for i, s in enumerate(self.states)}
-
-    def state_label(self, i: int) -> str:
-        return _label_sys(self.states[i])
 
     @cached_property
     def adjacency(self) -> tuple:
@@ -72,7 +91,23 @@ class EnactedSystem:
 
 
 @dataclass(frozen=True)
-class FullEnactedSystem:
+class EnactedSystem(_Product):
+    """Asynchronous product of the system's behaviors.
+
+    ``states[i]`` is the tuple of per-behavior state names for state i.
+    """
+
+    system: SystemSpec
+    states: tuple            # tuple of tuples of behavior state names
+    initial: int
+    transitions: tuple       # of IndexedTransition
+
+    def state_label(self, i: int) -> str:
+        return join_label(self.states[i], None, self._escape)
+
+
+@dataclass(frozen=True)
+class FullEnactedSystem(_Product):
     """The enacted system advancing in lockstep with the target.
 
     ``states[i]`` is a pair (behavior state tuple, target state). A
@@ -88,35 +123,15 @@ class FullEnactedSystem:
     transitions: tuple       # of IndexedTransition
 
     @property
-    def potential_state_count(self) -> int:
-        n = len(self.target.states)
-        for b in self.system.behaviors:
-            n *= len(b.states)
-        return n
-
-    @cached_property
-    def state_id(self) -> dict:
-        return {s: i for i, s in enumerate(self.states)}
+    def _factors(self) -> tuple:
+        return self.system.behaviors + (self.target,)
 
     def state_label(self, i: int) -> str:
         sys_states, t = self.states[i]
-        return f"{_label_sys(sys_states)}|{t}"
-
-    def sys_part(self, i: int) -> tuple:
-        return self.states[i][0]
+        return join_label(sys_states, t, self._escape)
 
     def target_part(self, i: int) -> str:
         return self.states[i][1]
-
-    @cached_property
-    def adjacency(self) -> tuple:
-        adj = [[] for _ in self.states]
-        for t in self.transitions:
-            adj[t[0]].append(t)
-        return tuple(tuple(row) for row in adj)
-
-    def transitions_from(self, i: int) -> tuple:
-        return self.adjacency[i]
 
     @cached_property
     def dead_ends(self) -> tuple:
@@ -132,54 +147,41 @@ def _require_nonempty(system: SystemSpec) -> None:
             "cannot build a product over a system with no behaviors")
 
 
-def _sys_moves(system: SystemSpec, sys_states: tuple, action: str):
-    """Yield (index, successor tuple) for every behavior able to do action.
+def _reachable(initial, moves) -> tuple:
+    """(states, transitions) reachable from ``initial``, breadth first.
 
-    Enumeration order: behaviors in declaration order, each behavior's
-    nondeterministic outcomes in its declared transition order.
+    ``moves(state)`` yields (action, index, successor) in declared order.
+    The discovery list is the queue, so a state's id is its position.
     """
-    for k, b in enumerate(system.behaviors, start=1):
-        for nxt in b.successors(sys_states[k - 1], action):
-            yield k, sys_states[:k - 1] + (nxt,) + sys_states[k:]
-
-
-def enacted_system(system: SystemSpec,
-                   include_unreachable: bool = False) -> EnactedSystem:
-    """Build the asynchronous product of the system's behaviors."""
-    _require_nonempty(system)
-    initial = system.initial_tuple
-
-    if include_unreachable:
-        states = tuple(itertools.product(*(b.states for b in system.behaviors)))
-        ids = {s: i for i, s in enumerate(states)}
-        transitions = []
-        for i, tup in enumerate(states):
-            for k, b in enumerate(system.behaviors, start=1):
-                for _, a, d in b.transitions_from(tup[k - 1]):
-                    transitions.append(
-                        (i, a, k, ids[tup[:k - 1] + (d,) + tup[k:]]))
-        return EnactedSystem(system, states, ids[initial], tuple(transitions))
-
     ids = {initial: 0}
     order = [initial]
     transitions = []
-    queue = [initial]
-    while queue:
-        tup = queue.pop(0)
-        i = ids[tup]
-        for k, b in enumerate(system.behaviors, start=1):
+    for state in order:
+        i = ids[state]  # the interned int, shared with incoming transitions
+        for a, k, nxt in moves(state):
+            j = ids.get(nxt)
+            if j is None:
+                j = ids[nxt] = len(order)
+                order.append(nxt)
+            transitions.append((i, a, k, j))
+    return tuple(order), tuple(transitions)
+
+
+def enacted_system(system: SystemSpec) -> EnactedSystem:
+    """Build the asynchronous product of the system's behaviors."""
+    _require_nonempty(system)
+    indexed = tuple(enumerate(system.behaviors, start=1))
+
+    def moves(tup):
+        for k, b in indexed:
             for _, a, d in b.transitions_from(tup[k - 1]):
-                nxt = tup[:k - 1] + (d,) + tup[k:]
-                if nxt not in ids:
-                    ids[nxt] = len(order)
-                    order.append(nxt)
-                    queue.append(nxt)
-                transitions.append((i, a, k, ids[nxt]))
-    return EnactedSystem(system, tuple(order), 0, tuple(transitions))
+                yield a, k, tup[:k - 1] + (d,) + tup[k:]
+
+    states, transitions = _reachable(system.initial_tuple, moves)
+    return EnactedSystem(system, states, 0, transitions)
 
 
-def full_enacted_system(system: SystemSpec, target: Ltfs,
-                        include_unreachable: bool = False) -> FullEnactedSystem:
+def full_enacted_system(system: SystemSpec, target: Ltfs) -> FullEnactedSystem:
     """Build the synchronized product of the enacted system with the target.
 
     From a state (S, t), every target transition t -a-> t' combined with
@@ -187,36 +189,15 @@ def full_enacted_system(system: SystemSpec, target: Ltfs,
     such combination are dead ends and stay in.
     """
     _require_nonempty(system)
-    initial = (system.initial_tuple, target.initial)
+    indexed = tuple(enumerate(system.behaviors, start=1))
 
-    if include_unreachable:
-        states = tuple(
-            (combo, t)
-            for combo in itertools.product(*(b.states for b in system.behaviors))
-            for t in target.states)
-        ids = {s: i for i, s in enumerate(states)}
-        transitions = []
-        for i, (tup, t) in enumerate(states):
-            for _, a, t_next in target.transitions_from(t):
-                for k, nxt in _sys_moves(system, tup, a):
-                    transitions.append((i, a, k, ids[(nxt, t_next)]))
-        return FullEnactedSystem(system, target, states, ids[initial],
-                                 tuple(transitions))
-
-    ids = {initial: 0}
-    order = [initial]
-    transitions = []
-    queue = [initial]
-    while queue:
-        tup, t = queue.pop(0)
-        i = ids[(tup, t)]
+    def moves(pair):
+        tup, t = pair
         for _, a, t_next in target.transitions_from(t):
-            for k, nxt in _sys_moves(system, tup, a):
-                pair = (nxt, t_next)
-                if pair not in ids:
-                    ids[pair] = len(order)
-                    order.append(pair)
-                    queue.append(pair)
-                transitions.append((i, a, k, ids[pair]))
-    return FullEnactedSystem(system, target, tuple(order), 0,
-                             tuple(transitions))
+            for k, b in indexed:
+                for d in b.successors(tup[k - 1], a):
+                    yield a, k, (tup[:k - 1] + (d,) + tup[k:], t_next)
+
+    states, transitions = _reachable(
+        (system.initial_tuple, target.initial), moves)
+    return FullEnactedSystem(system, target, states, 0, transitions)

@@ -39,10 +39,6 @@ class SimulationRelation:
     def contains(self, left_state: str, right_state: str) -> bool:
         return (left_state, right_state) in self.pairs
 
-    @cached_property
-    def as_sorted_tuples(self) -> tuple:
-        return tuple(sorted(self.pairs))
-
 
 def _succ_by_action(system: Ltfs) -> list:
     """Per state, a dict action-name -> tuple of successor state indices."""

@@ -16,8 +16,10 @@ from behapprox.approx import (
     project_indexes,
 )
 from behapprox.errors import ApproxError
+from behapprox.game import game_approx
+from behapprox.io import parse_target, serialize_target
 from behapprox.model import SystemSpec
-from behapprox.product import full_enacted_system
+from behapprox.product import enacted_system, full_enacted_system
 from behapprox.simrel import sim_equivalent, simulates
 
 from conftest import ltfs
@@ -146,7 +148,6 @@ def test_foreign_action_gives_empty_approximation(house_system):
     target = ltfs("t", ["t0"], "t0", [("t0", "teleport", "t0")])
     result = approximate(house_system, target)
     assert result.is_empty
-    assert result.generator is None
     assert len(result.approx.states) == 1
     assert result.approx.transitions == ()
     assert simulates(result.approx, target)
@@ -162,16 +163,44 @@ def test_projection_merges_parallel_delegations():
     result = approximate(SystemSpec.make([b1, b2]), target)
     assert len(result.pruned.kept_transitions) == 2
     assert result.projection.transitions == (("x,y|t0", "a", "x,y|t0"),)
-    gen = result.generator
+    gen = extract_controller_generator(result.pruned)
     sid = result.full.state_id[(("x", "y"), "t0")]
     assert gen.for_destination(sid, "a", sid) == {1, 2}
+
+
+def test_state_labels_never_collide():
+    # Joined without escaping, "a" + "b,c" and "a,b" + "c" both read
+    # "a,b,c|t|0"; the target names hold the other reserved characters.
+    one = ltfs("one", ["a", "a,b"], "a", [("a", "x", "a,b"), ("a,b", "x", "a")])
+    two = ltfs("two", ["b,c", "c"], "b,c",
+               [("b,c", "y", "c"), ("c", "y", "b,c")])
+    target = ltfs("t", ["t|0", "t\\1"], "t|0",
+                  [("t|0", "x", "t\\1"), ("t\\1", "y", "t|0"),
+                   ("t|0", "y", "t|0"), ("t\\1", "x", "t\\1")])
+    system = SystemSpec.make([one, two])
+    for product in (enacted_system(system), full_enacted_system(system, target)):
+        labels = [product.state_label(i) for i in range(len(product.states))]
+        assert len(set(labels)) == len(labels) == len(product.states)
+
+    result = approximate(system, target)
+    names = result.projection.states
+    assert len(set(names)) == len(names)
+    members = sorted(i for ids in result.block_members.values() for i in ids)
+    assert members == sorted(result.pruned.kept_state_ids)
+
+    approx = compute_approx(system, target)
+    reparsed = parse_target(serialize_target(approx))
+    assert reparsed == approx
+    assert sim_equivalent(reparsed, target)
+    assert check_exact(system, target)
+    assert sim_equivalent(game_approx(system, target), approx)
 
 
 # -- controller generator ---------------------------------------------------
 
 def test_generator_reads_off_golden_delegations(house_system, t_ent):
     result = approximate(house_system, t_ent)
-    gen = result.generator
+    gen = extract_controller_generator(result.pruned)
     by_label = {result.full.state_label(i): i
                 for i in result.pruned.kept_state_ids}
     init = by_label["a0,b0,c0,d0|t0"]

@@ -1,5 +1,7 @@
 """Controller sessions, bounded trace sets, and the imported-controller engine."""
 
+import itertools
+import math
 import random
 
 import pytest
@@ -98,6 +100,38 @@ def test_depth_zero_and_validation(house_system, t_ent):
         constant_controller(house_system, t_ent, 5)
     with pytest.raises(ValueError):
         action_controller(house_system, t_ent, {"movie": 0})
+
+
+def test_rule_tables_answer_like_their_materialized_tables(house_system, t_ent):
+    rng = random.Random(23)
+    cases = [(house_system, t_ent)]
+    for _ in range(15):
+        cases.append((random_system(rng, rng.randint(1, 3), rng.randint(1, 3)),
+                      random_target(rng, rng.randint(1, 3))))
+    for system, target in cases:
+        declared = list(itertools.product(*(b.states for b in system.behaviors)))
+        k = rng.randint(1, system.size)
+        mapping = {a: rng.randint(1, system.size)
+                   for a in target.actions if rng.random() < 0.7}
+        for table, rule in ((constant_controller(system, target, k),
+                             dict.fromkeys(target.actions, k)),
+                            (action_controller(system, target, mapping),
+                             mapping)):
+            matching = [tr for tr in target.transitions if tr[1] in rule]
+            reference = ControllerTable({
+                (states, tr): rule[tr[1]]
+                for states in declared for tr in matching})
+            assert list(table.entries.items()) == list(reference.entries.items())
+            assert len(table) == len(reference) == math.prod(
+                len(b.states) for b in system.behaviors) * len(matching)
+            for states in declared:
+                for tr in target.transitions:
+                    assert table.lookup(states, tr) == reference.lookup(states, tr)
+                    assert table.defined_at(states, tr) == (tr in matching)
+            request = target.transitions[0]
+            assert table.lookup(("undeclared",) * system.size, request) is None
+            assert table.lookup(declared[0][1:], request) is None
+            assert table.lookup(declared[0], ("t0", "foreign", "t0")) is None
 
 
 def test_imported_session_first_steps_on_the_house(golden):
@@ -310,9 +344,8 @@ def test_adversarial_resolver_starves_the_table():
 
 
 def _random_table(rng, system, target, density=0.75):
-    from behapprox.product import enacted_system
     entries = {}
-    for sys_states in enacted_system(system, include_unreachable=True).states:
+    for sys_states in itertools.product(*(b.states for b in system.behaviors)):
         for tr in target.transitions:
             if rng.random() < density:
                 entries[(sys_states, tr)] = rng.randint(1, system.size)
