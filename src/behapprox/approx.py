@@ -258,6 +258,18 @@ class ApproxResult:
     def block_of_state_id(self) -> dict:
         return {sid: q for q, ids in self.block_members.items() for sid in ids}
 
+    @cached_property
+    def kept_adjacency(self) -> dict:
+        """Product state id -> tuple of its kept transitions, in kept order.
+
+        Built once and shared by every session; the transitions are the
+        pruned result's own tuples, so it holds only references.
+        """
+        adjacency: dict = {}
+        for transition in self.pruned.kept_transitions:
+            adjacency.setdefault(transition[0], []).append(transition)
+        return {src: tuple(moves) for src, moves in adjacency.items()}
+
 
 def approximate(system: SystemSpec, target: Ltfs) -> ApproxResult:
     """Run the full pipeline and keep every stage's artifact."""

@@ -216,9 +216,7 @@ class Session:
         session._result = result
         base = result.full
         session._base = base
-        adjacency = {}
-        for (src, action, index, dst) in result.pruned.kept_transitions:
-            adjacency.setdefault(src, []).append((action, index, dst))
+        adjacency = result.kept_adjacency
         session._kept_adjacency = adjacency
         session._blocks = result.block_of_state_id if not result.is_empty else {}
         if requests == "target":
@@ -348,7 +346,7 @@ class Session:
         # the session.  Groups are singletons for deterministic behaviors.
         groups = {}
         for candidate in self.candidates:
-            for (a, index, dst) in self._kept_adjacency.get(candidate, ()):
+            for (_, a, index, dst) in self._kept_adjacency.get(candidate, ()):
                 if a == action:
                     key = (candidate, index, self._base.target_part(dst))
                     groups.setdefault(key, []).append(dst)
@@ -366,7 +364,7 @@ class Session:
         def filtered(sys_after):
             found = []
             for candidate in self.candidates:
-                for (a, k, dst) in self._kept_adjacency.get(candidate, ()):
+                for (_, a, k, dst) in self._kept_adjacency.get(candidate, ()):
                     if (
                         a == action
                         and k == index

@@ -5,6 +5,12 @@ one ``target`` record, and an optional ``options.terminal`` policy
 ("reject" or "loop").  Each behavior record carries ``name``, ``states``,
 ``initial``, and ``transitions`` as {from, action, to} mappings.  The
 canonical fixture lives at problems/smarthouse.yaml.
+
+Documents are written by a fixed-shape writer whose bytes equal PyYAML's
+``safe_dump(document, sort_keys=False)``; a document with a name that
+PyYAML would quote goes to ``safe_dump`` whole.  Documents are read with
+libyaml when PyYAML has it; a document it rejects is parsed again by the
+pure loader, so every ``[E_PARSE]`` syntax message is the pure loader's.
 """
 
 import argparse
@@ -92,13 +98,34 @@ def _raw_behavior(node, location):
     return RawBehavior.make(name, states, initial, transitions)
 
 
-def parse_problem_file(text):
-    """Parse a problem document into raw records, without model validation."""
+#: libyaml's loader when PyYAML was built with it, else the pure one.
+_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+
+def _load_document(text):
+    """Load YAML text; a syntax error reads as the pure loader words it.
+
+    libyaml words its errors differently, so on any error the text is
+    parsed again by the pure loader, whose message ``[E_PARSE]`` carries.
+    libyaml takes text as UTF-8, so a lone surrogate, which the pure
+    loader reports as an unacceptable character, fails it at encoding.
+    libyaml reads a few malformed documents that the pure loader rejects,
+    such as a tab inside a plain scalar.
+    """
+    if _LOADER is not yaml.SafeLoader:
+        try:
+            return yaml.load(text, Loader=_LOADER)
+        except (yaml.YAMLError, UnicodeEncodeError):
+            pass
     try:
-        document = yaml.safe_load(text)
+        return yaml.load(text, Loader=yaml.SafeLoader)
     except yaml.YAMLError as err:
         raise ParseError("bad document syntax: %s" % err)
-    document = _require_mapping(document, "document")
+
+
+def parse_problem_file(text):
+    """Parse a problem document into raw records, without model validation."""
+    document = _require_mapping(_load_document(text), "document")
     unknown = set(document) - {"name", "options", "behaviors", "target"}
     if unknown:
         raise ParseError("unknown field %r" % sorted(unknown)[0], "document")
@@ -163,11 +190,7 @@ def parse_target(text, policy=None):
     empty approximation, which is deliberately unreachable through normal
     validation.
     """
-    try:
-        document = yaml.safe_load(text)
-    except yaml.YAMLError as err:
-        raise ParseError("bad document syntax: %s" % err)
-    document = _require_mapping(document, "document")
+    document = _require_mapping(_load_document(text), "document")
     raw = _raw_behavior(_get(document, "target", "document"), "target")
     if not raw.transitions and len(raw.states) == 1:
         if raw.initial != raw.states[0]:
@@ -179,6 +202,60 @@ def parse_target(text, policy=None):
 
 # ---------------------------------------------------------------------------
 # serialization
+#
+# Documents are written line by line in PyYAML's block layout.  That is
+# only sound for scalars PyYAML itself writes plain, so any other scalar
+# sends its whole document through ``yaml.safe_dump``: per-scalar quoting
+# cannot reproduce how long quoted names fold at the line width.
+
+#: Scalars PyYAML writes plain in block context whenever its resolver reads
+#: them as strings: no spaces, quotes, ``:``, ``#``, non-ASCII text or
+#: leading indicator.  Covers the escaped product labels.
+_PLAIN = re.compile(r"[A-Za-z_][A-Za-z0-9_.,|\\-]*\Z")
+_RESOLVER = yaml.resolver.Resolver()
+
+
+class _NotPlain(Exception):
+    """A scalar that PyYAML would quote, so its document must be dumped."""
+
+
+class _PlainScalars(dict):
+    """Each distinct scalar checked once; a plain scalar maps to itself.
+
+    The check is the one PyYAML's dumper makes: a scalar that the resolver
+    types as anything but a string (``yes``, ``on``, ``null``, ``~``) gets
+    quoted, because ``yaml.safe_load`` would not read it back unchanged.
+    """
+
+    def __missing__(self, value):
+        if not (type(value) is str and _PLAIN.match(value)
+                and _RESOLVER.resolve(yaml.ScalarNode, value, (True, False))
+                == _RESOLVER.DEFAULT_SCALAR_TAG):
+            raise _NotPlain(value)
+        self[value] = value
+        return value
+
+
+def _list_lines(key, items, lines):
+    if items:
+        lines.append(key + ":")
+        lines.extend(items)
+    else:
+        lines.append(key + ": []")
+
+
+def _behavior_lines(behavior, plain, lines, lead):
+    """Append one behavior record; ``lead`` starts its first line ("- " as
+    a list item, two spaces as the value of ``target``)."""
+    lines.append("%sname: %s" % (lead, plain[behavior.name]))
+    _list_lines("  states", ["  - " + plain[s] for s in behavior.states],
+                lines)
+    lines.append("  initial: " + plain[behavior.initial])
+    _list_lines("  transitions", [
+        "  - from: %s\n    action: %s\n    to: %s"
+        % (plain[src], plain[action], plain[dst])
+        for (src, action, dst) in behavior.transitions
+        if action != IDLE_ACTION], lines)
 
 
 def _behavior_record(behavior):
@@ -194,6 +271,26 @@ def _behavior_record(behavior):
     }
 
 
+def _problem_lines(system, target, options):
+    plain = _PlainScalars()
+    lines = []
+    if system.name != "system":
+        lines.append("name: " + plain[system.name])
+    if options:
+        lines.append("options:")
+        for key, value in options.items():
+            if type(value) is not str:  # a list or mapping is no scalar
+                raise _NotPlain(value)
+            lines.append("  %s: %s" % (plain[key], plain[value]))
+    members = []
+    for behavior in system.behaviors:
+        _behavior_lines(behavior, plain, members, "- ")
+    _list_lines("behaviors", members, lines)
+    lines.append("target:")
+    _behavior_lines(target, plain, lines, "  ")
+    return lines
+
+
 def serialize_problem(system, target, options=None):
     """Render a system and target back into the problem format.
 
@@ -201,18 +298,28 @@ def serialize_problem(system, target, options=None):
     the loop policy, so that the synthesized idle loops (which are never
     written out) are recreated on the next parse.
     """
-    document = {}
-    if system.name != "system":
-        document["name"] = system.name
-    if options:
-        document["options"] = dict(options)
-    document["behaviors"] = [_behavior_record(b) for b in system.behaviors]
-    document["target"] = _behavior_record(target)
-    return yaml.safe_dump(document, sort_keys=False)
+    try:
+        lines = _problem_lines(system, target, options)
+    except _NotPlain:
+        document = {}
+        if system.name != "system":
+            document["name"] = system.name
+        if options:
+            document["options"] = dict(options)
+        document["behaviors"] = [_behavior_record(b) for b in system.behaviors]
+        document["target"] = _behavior_record(target)
+        return yaml.safe_dump(document, sort_keys=False)
+    return "\n".join(lines) + "\n"
 
 
 def serialize_target(target):
-    return yaml.safe_dump({"target": _behavior_record(target)}, sort_keys=False)
+    lines = ["target:"]
+    try:
+        _behavior_lines(target, _PlainScalars(), lines, "  ")
+    except _NotPlain:
+        return yaml.safe_dump({"target": _behavior_record(target)},
+                              sort_keys=False)
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -235,6 +235,49 @@ def test_approx_walks_on_the_house_are_always_honored(golden, house_system):
         assert session.log.honored_count == 40
 
 
+def _target_walk(session, rng, target, length):
+    trail = []
+    for _ in range(length):
+        request = rng.choice(target.transitions_from(session.cursor))
+        try:
+            record = session.step(request)
+        except SessionError:
+            trail.append(None)
+            break
+        trail.append((record.delegated, record.sys_after, session.candidates))
+    return trail
+
+
+def test_sessions_share_one_kept_adjacency_and_walk_alike():
+    rng = random.Random(77)
+    walked = 0
+    for trial in range(20):
+        system = random_system(
+            rng, n_behaviors=rng.randint(2, 3), n_states=rng.randint(2, 4),
+            actions=("alpha", "beta", "gamma"), deterministic=False)
+        target = random_target(rng, rng.randint(2, 4), ("alpha", "beta", "gamma"))
+        result = approximate(system, target)
+        kept = result.pruned.kept_transitions
+        adjacency = result.kept_adjacency
+        assert set(adjacency) == {src for (src, _, _, _) in kept}
+        for src, moves in adjacency.items():
+            assert moves == tuple(t for t in kept if t[0] == src)
+        fresh = approximate(system, target)
+        for make in (AdversarialResolver, lambda: RandomResolver(trial)):
+            first = Session.from_approx(result, make(), requests="target")
+            second = Session.from_approx(result, make(), requests="target")
+            alone = Session.from_approx(fresh, make(), requests="target")
+            assert first._kept_adjacency is second._kept_adjacency is adjacency
+            assert alone._kept_adjacency is not adjacency
+            seed = rng.random()
+            trails = [_target_walk(s, random.Random(seed), target, 15)
+                      for s in (first, second, alone)]
+            assert trails[0] == trails[1] == trails[2]
+            walked += len(trails[0])
+        assert result.kept_adjacency is adjacency
+    assert walked >= 60
+
+
 def test_approx_walks_on_random_deterministic_instances_are_honored():
     rng = random.Random(2026)
     nonempty = 0

@@ -5,7 +5,9 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
+from behapprox import io
 from behapprox.approx import approximate, compute_approx
 from behapprox.errors import (
     CompositionError,
@@ -152,6 +154,56 @@ def test_target_document_round_trip(t_ent):
     assert parse_target(serialize_target(t_ent)) == t_ent
     empty = Ltfs("t_approx", ("q0",), "q0", ())
     assert parse_target(serialize_target(empty)) == empty
+
+
+MALFORMED = {
+    "tab-indent": "behaviors:\n\t- name: b\n",
+    "unclosed-bracket": "behaviors: [b0, b1\ntarget: {}\n",
+    "unterminated-quote": "target:\n  name: \"t\n",
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED.values(), ids=MALFORMED.keys())
+def test_syntax_errors_read_as_the_pure_loader_words_them(text):
+    with pytest.raises(yaml.YAMLError) as pure:
+        yaml.load(text, Loader=yaml.SafeLoader)
+    for parse in (parse_problem_file, parse_target):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.code == "E_PARSE"
+        assert err.value.message == "bad document syntax: %s" % pure.value
+
+
+def _spy_on_loaders(monkeypatch):
+    used = []
+    load = yaml.load
+
+    def spy(text, Loader):
+        used.append(Loader)
+        return load(text, Loader=Loader)
+
+    monkeypatch.setattr(io.yaml, "load", spy)
+    return used
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML without libyaml")
+def test_libyaml_reads_and_the_pure_loader_only_rewords_errors(monkeypatch):
+    used = _spy_on_loaders(monkeypatch)
+    parse_problem(PROBLEM_PATH.read_text())
+    assert used == [yaml.CSafeLoader]
+    used.clear()
+    with pytest.raises(ParseError):
+        parse_problem("not: [valid\n")
+    assert used == [yaml.CSafeLoader, yaml.SafeLoader]
+
+
+def test_round_trip_through_the_pure_loader(monkeypatch, house_system, t_ent):
+    monkeypatch.setattr(io, "_LOADER", yaml.SafeLoader)
+    used = _spy_on_loaders(monkeypatch)
+    text = serialize_problem(house_system, t_ent)
+    assert parse_problem(text) == (house_system, t_ent)
+    assert parse_target(serialize_target(t_ent)) == t_ent
+    assert used == [yaml.SafeLoader, yaml.SafeLoader]
 
 
 # -- DOT ------------------------------------------------------------------
