@@ -72,12 +72,23 @@ def _get(mapping, key, location):
     return mapping[key]
 
 
+def _reject_unknown(mapping, known, location):
+    """Name the first unknown key: strings in sorted order, then the rest.
+
+    Keys that are not strings (``~``, ``1``) cannot be compared with
+    strings, so they sort after them, by type name and ``repr``.
+    """
+    unknown = set(mapping) - known
+    if unknown:
+        first = min(unknown, key=lambda k: (0, k) if isinstance(k, str)
+                    else (1, type(k).__name__, repr(k)))
+        raise ParseError("unknown field %r" % (first,), location)
+
+
 def _raw_behavior(node, location):
     record = _require_mapping(node, location)
-    unknown = set(record) - {"name", "states", "initial", "transitions"}
-    if unknown:
-        raise ParseError(
-            "unknown field %r" % sorted(unknown)[0], location)
+    _reject_unknown(record, {"name", "states", "initial", "transitions"},
+                    location)
     name = _require_string(_get(record, "name", location), location + ".name")
     states = _require_list(_get(record, "states", location), location + ".states")
     for position, state in enumerate(states):
@@ -126,9 +137,8 @@ def _load_document(text):
 def parse_problem_file(text):
     """Parse a problem document into raw records, without model validation."""
     document = _require_mapping(_load_document(text), "document")
-    unknown = set(document) - {"name", "options", "behaviors", "target"}
-    if unknown:
-        raise ParseError("unknown field %r" % sorted(unknown)[0], "document")
+    _reject_unknown(document, {"name", "options", "behaviors", "target"},
+                    "document")
 
     name = "system"
     if "name" in document:

@@ -5,8 +5,11 @@ Two relations drive everything downstream:
 * the largest simulation between two transition systems (one system's
   states mimicking another's, action by action), computed as a greatest
   fixpoint by deleting violating pairs until stable;
-* the coarsest bisimulation partition of a single system, computed by
-  signature-based partition refinement, from which we build quotients.
+* the coarsest bisimulation partition of a single system, from which we
+  build quotients. It is computed by worklist refinement on integer ids:
+  a round re-signs only the states one of whose successors changed block
+  in the round before, and when a block splits, its largest part keeps
+  the block's id, so few states change block.
 
 Simulation equivalence (each side simulates the other from the initial
 states) is the notion of "same observable capability" used throughout:
@@ -137,39 +140,68 @@ class Partition:
 
 
 def bisim_partition(system: Ltfs) -> Partition:
-    """Coarsest bisimulation partition, by signature refinement.
+    """Coarsest bisimulation partition, by dirty-state refinement.
 
-    Start with all states in one block; repeatedly split blocks whose
-    members disagree on the signature {(action, destination block)} until
-    nothing splits.
+    Start with all states in one block. A state's signature is the set of
+    its moves lifted to blocks, each encoded as the int
+    ``block * n_actions + action``. A round re-signs only the *dirty*
+    states, those with a successor that changed block in the round before
+    (every state, in the first round), and splits each block they lie in
+    into its dirty states grouped by signature plus the states that were
+    not re-signed. The latter still share the signature that held their
+    block together, and it differs from every re-signed one, which names
+    a block that did not exist a round earlier. The largest part keeps
+    the block's id and the others get fresh ids, so a state changes block
+    O(log n) times. When no state is dirty, every block is stable.
+
+    The coarsest bisimulation is unique, so the result does not depend on
+    the order of splits: blocks are renumbered by their smallest member's
+    interned index at the end.
     """
     n = len(system.states)
-    block_of = [0] * n
     adj = system.iadjacency
+    width = len(system.actions)
+    preds: list[list[int]] = [[] for _ in range(n)]
+    for s, moves in enumerate(adj):
+        for _, d in moves:
+            preds[d].append(s)
 
-    while True:
-        signatures = [
-            frozenset((a, block_of[d]) for a, d in adj[s]) for s in range(n)
-        ]
-        # Renumber: group states by (old block, signature), numbering groups
-        # by the smallest state index they contain.
-        groups: dict = {}
-        for s in range(n):
-            groups.setdefault((block_of[s], signatures[s]), []).append(s)
-        ordered = sorted(groups.values(), key=lambda members: members[0])
-        new_block_of = [0] * n
-        for i, members in enumerate(ordered):
-            for s in members:
-                new_block_of[s] = i
-        if new_block_of == block_of:
-            break
-        block_of = new_block_of
+    block_of = [0] * n
+    members = [set(range(n))]
+    dirty = range(n)
+    while dirty:
+        changed: dict = {}  # block -> signature -> its dirty states
+        for s in dirty:
+            sig = frozenset([block_of[d] * width + a for a, d in adj[s]])
+            changed.setdefault(block_of[s], {}).setdefault(sig, []).append(s)
+        moved = []
+        for b, groups in changed.items():
+            block = members[b]
+            parts = list(groups.values())
+            rest = len(block) - sum(map(len, parts))
+            if not rest and len(parts) == 1:
+                continue
+            largest = max(parts, key=len)
+            if len(largest) > rest:
+                parts = [part for part in parts if part is not largest]
+                if rest:
+                    parts.append(block.difference(largest, *parts))
+                members[b] = set(largest)
+            else:
+                for part in parts:
+                    block.difference_update(part)
+            for part in parts:
+                new = len(members)
+                members.append(set(part))
+                for s in part:
+                    block_of[s] = new
+                moved.extend(part)
+        dirty = {p for s in moved for p in preds[s]}
 
-    count = max(block_of) + 1 if n else 0
-    members: list[list[str]] = [[] for _ in range(count)]
-    for s in range(n):
-        members[block_of[s]].append(system.states[s])
-    return Partition(tuple(tuple(m) for m in members))
+    order: dict = {}  # first-seen order is smallest-member order
+    for s, b in enumerate(block_of):
+        order.setdefault(b, []).append(system.states[s])
+    return Partition(tuple(map(tuple, order.values())))
 
 
 def quotient(system: Ltfs, partition: Partition | None = None,

@@ -113,6 +113,41 @@ def naive_sim_equivalent(a: Ltfs, b: Ltfs) -> bool:
             and (b.initial, a.initial) in naive_largest_simulation(b, a))
 
 
+# -- bisimulation oracle -----------------------------------------------------
+
+def signature_bisim_blocks(system: Ltfs) -> tuple:
+    """Coarsest bisimulation blocks, by per-round signature refinement.
+
+    Every round re-signs every state with {(action, block of destination)}
+    and splits blocks by signature, numbering the new blocks by their
+    smallest member, until a round changes nothing. Blocks come ordered by
+    their smallest member, each listing its members in declaration order.
+    """
+    index = {s: i for i, s in enumerate(system.states)}
+    succ: list[list] = [[] for _ in system.states]
+    for s, a, d in system.transitions:
+        succ[index[s]].append((a, index[d]))
+    n = len(system.states)
+    block_of = [0] * n
+    while True:
+        groups: dict = {}
+        for s in range(n):
+            signature = frozenset((a, block_of[d]) for a, d in succ[s])
+            groups.setdefault((block_of[s], signature), []).append(s)
+        ordered = sorted(groups.values(), key=lambda members: members[0])
+        renumbered = [0] * n
+        for i, members in enumerate(ordered):
+            for s in members:
+                renumbered[s] = i
+        if renumbered == block_of:
+            break
+        block_of = renumbered
+    blocks: list[list[str]] = [[] for _ in range(max(block_of, default=-1) + 1)]
+    for s in range(n):
+        blocks[block_of[s]].append(system.states[s])
+    return tuple(tuple(block) for block in blocks)
+
+
 # -- bounded language view ---------------------------------------------------
 
 def bounded_action_sequences(behavior: Ltfs, depth: int) -> set:

@@ -1,5 +1,7 @@
 """Problem-document parsing, DOT/ISPL export, and the command line."""
 
+import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -29,7 +31,12 @@ from behapprox.model import Ltfs, SystemSpec
 from behapprox.product import enacted_system
 
 from conftest import ltfs
-from helpers import check_ispl_structure, naive_sim_equivalent
+from helpers import (
+    check_ispl_structure,
+    naive_sim_equivalent,
+    random_system,
+    random_target,
+)
 
 PROBLEM_PATH = Path(__file__).resolve().parent.parent / "problems" / "smarthouse.yaml"
 
@@ -103,6 +110,57 @@ def test_parse_reports_locations():
                            "target: {name: t, states: [t0], initial: t0,"
                            " transitions: []}\n")
     assert "terminal" in str(err.value)
+
+
+# Unknown keys of mixed types cannot be sorted together; they must still
+# read as an [E_PARSE] error, not a TypeError.
+MIXED_KEYS = {
+    "document": ("~: 1\nextra: 2\nbehaviors: []\ntarget: {}\n",
+                 "unknown field 'extra'", "document"),
+    "behavior": ("behaviors:\n- {1: x, z: y}\ntarget: {}\n",
+                 "unknown field 'z'", "behaviors[0]"),
+    "no-strings": ("behaviors:\n- {1: x, ~: y}\ntarget: {}\n",
+                   "unknown field None", "behaviors[0]"),
+}
+
+
+@pytest.mark.parametrize("text, message, location", MIXED_KEYS.values(),
+                         ids=MIXED_KEYS.keys())
+def test_unknown_keys_that_are_not_strings_read_as_parse_errors(
+        text, message, location):
+    with pytest.raises(ParseError) as err:
+        parse_problem_file(text)
+    assert err.value.code == "E_PARSE"
+    assert err.value.message == "%s (at %s)" % (message, location)
+
+
+def test_unknown_field_message_is_the_same_under_every_hash_seed():
+    # String keys are named first, in sorted order, then keys of other
+    # types; the choice must not follow set order, which the hash seed sets.
+    documents = [
+        "zeta: 1\nextra: 2\nmid: 3\nbehaviors: []\ntarget: {}\n",
+        "~: 1\n7: 2\nzeta: 3\nextra: 4\nbehaviors: []\ntarget: {}\n",
+        "behaviors:\n- {1: x, zz: y, aa: w, 2.5: v, ~: u}\ntarget: {}\n",
+    ]
+    script = ("import sys\n"
+              "from behapprox.errors import ParseError\n"
+              "from behapprox.io import parse_problem_file\n"
+              "for text in sys.argv[1:]:\n"
+              "    try:\n"
+              "        parse_problem_file(text)\n"
+              "    except ParseError as err:\n"
+              "        print(err)\n")
+    outputs = set()
+    for seed in ("0", "1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        run = subprocess.run([sys.executable, "-c", script] + documents,
+                             capture_output=True, text=True, env=env)
+        assert run.returncode == 0, run.stderr
+        outputs.add(run.stdout)
+    assert outputs == {
+        "[E_PARSE] unknown field 'extra' (at document)\n"
+        "[E_PARSE] unknown field 'extra' (at document)\n"
+        "[E_PARSE] unknown field 'aa' (at behaviors[0])\n"}
 
 
 def test_validation_errors_carry_document_context():
@@ -483,3 +541,28 @@ def test_cli_byte_determinism(tmp_path):
     assert first.returncode == 0
     assert first.stdout == second.stdout
     assert b"honored k=2" in first.stdout
+
+
+def test_cli_approx_is_byte_identical_across_hash_seeds(tmp_path):
+    # Random nondeterministic problems whose quotient merges many states,
+    # so that the bisimulation's final renumbering decides the output.
+    outputs = {}
+    for instance_seed in (9, 10):
+        rng = random.Random(instance_seed)
+        system = random_system(rng, 4, 5)
+        target = random_target(rng, 5)
+        result = approximate(system, target)
+        assert 1 < result.partition.size < len(result.projection.states)
+        problem = tmp_path / ("problem%d.yaml" % instance_seed)
+        problem.write_text(serialize_problem(system, target))
+        for hash_seed in ("1", "2"):
+            output = tmp_path / ("out%d_%s.yaml" % (instance_seed, hash_seed))
+            run = subprocess.run(
+                [sys.executable, "-m", "behapprox.io", "approx",
+                 "--input", str(problem), "--output", str(output)],
+                capture_output=True,
+                env=dict(os.environ, PYTHONHASHSEED=hash_seed))
+            assert run.returncode == 0, run.stderr
+            outputs.setdefault(instance_seed, set()).add(output.read_bytes())
+        assert outputs[instance_seed] == {
+            serialize_target(result.approx).encode()}

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from behapprox.model import Ltfs
 from behapprox.simrel import (
@@ -20,6 +22,7 @@ from helpers import (
     naive_largest_simulation,
     naive_sim_equivalent,
     random_ltfs,
+    signature_bisim_blocks,
 )
 
 
@@ -149,3 +152,103 @@ def test_explicit_partition_is_respected(t_ent):
     assert len(q.states) == 4
     assert ("q2", "stop", "q3") in q.transitions
     assert ("q2", "game", "q2") in q.transitions
+
+
+# -- bisimulation against the per-round signature oracle ------------------
+
+ACTION_POOL = ("a", "b", "c")
+
+
+@st.composite
+def nondeterministic_systems(draw):
+    """Any moves at all: nondeterminism, self-loops, terminal states."""
+    n = draw(st.integers(1, 8))
+    actions = ACTION_POOL[:draw(st.integers(1, 3))]
+    states = tuple(f"s{i}" for i in range(n))
+    moves = draw(st.lists(st.tuples(st.sampled_from(states),
+                                    st.sampled_from(actions),
+                                    st.sampled_from(states)),
+                          max_size=3 * n))
+    return Ltfs("random", states, "s0", tuple(dict.fromkeys(moves)))
+
+
+@st.composite
+def inflated_systems(draw):
+    """Copies of the states of a small system, each copy moving to a
+    non-empty choice of copies of its original's successors, so that many
+    states are bisimilar and blocks get large."""
+    base = draw(nondeterministic_systems())
+    n = draw(st.integers(len(base.states), 3 * len(base.states)))
+    original = [i % len(base.states) for i in range(n)]
+    original[1:] = draw(st.permutations(original[1:]))
+    copies = [[c for c in range(n) if original[c] == i]
+              for i in range(len(base.states))]
+    moves = []
+    for c in range(n):
+        for s, a, d in base.itransitions:
+            if s == original[c]:
+                targets = draw(st.lists(st.sampled_from(copies[d]),
+                                        min_size=1, unique=True))
+                moves += [(f"s{c}", base.actions[a], f"s{t}") for t in targets]
+    return Ltfs("inflated", tuple(f"s{c}" for c in range(n)), "s0",
+                tuple(moves))
+
+
+SENTINEL = Ltfs("t_approx", ("q0",), "q0", ())
+SAME_CYCLE = Ltfs("cycle", ("c0", "c1", "c2", "c3"), "c0",
+                  (("c0", "a", "c1"), ("c1", "a", "c2"),
+                   ("c2", "a", "c3"), ("c3", "a", "c0")))
+# A tail that splits one block per round, the worst case for rounds.
+CHAIN = Ltfs("chain", tuple(f"k{i}" for i in range(6)), "k0",
+             tuple((f"k{i}", "a", f"k{i + 1}") for i in range(5)))
+# A block that splits three ways: its largest part, re-signed, keeps the
+# block's id, while a smaller re-signed part and the states that were not
+# re-signed both leave it, and must not end up together.
+THREE_WAY = Ltfs("three_way", tuple(f"s{i}" for i in range(8)), "s0",
+                 (("s1", "a", "s5"), ("s3", "a", "s1"), ("s7", "a", "s3"),
+                  ("s1", "a", "s7"), ("s4", "a", "s5")))
+# A block that keeps its id while a smaller part leaves it, then splits
+# again: the parts that left must no longer count as its members.
+SHRINKING = Ltfs("shrinking", tuple(f"s{i}" for i in range(7)), "s0",
+                 (("s3", "a", "s4"), ("s5", "a", "s4"), ("s1", "a", "s3"),
+                  ("s4", "a", "s2"), ("s0", "a", "s4"), ("s5", "a", "s3"),
+                  ("s3", "a", "s5"), ("s0", "a", "s0")))
+SHAPES = (SENTINEL, SAME_CYCLE, CHAIN, THREE_WAY, SHRINKING)
+
+
+def _with_shapes(test):
+    for shape in SHAPES:
+        test = example(shape)(test)
+    return test
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(nondeterministic_systems(), inflated_systems()))
+@_with_shapes
+def test_bisim_partition_equals_the_signature_oracle(system):
+    assert bisim_partition(system).blocks == signature_bisim_blocks(system)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(nondeterministic_systems(), inflated_systems()))
+@_with_shapes
+def test_bisim_blocks_are_stable(system):
+    part = bisim_partition(system)
+    assert sorted(s for block in part.blocks for s in block) \
+        == sorted(system.states)
+    moves = {s: set() for s in system.states}
+    for s, a, d in system.transitions:
+        moves[s].add((a, part.block_of(d)))
+    for block in part.blocks:
+        assert len({frozenset(moves[s]) for s in block}) == 1
+
+
+def test_bisim_partition_explicit_shapes():
+    assert bisim_partition(SENTINEL).blocks == (("q0",),)
+    assert bisim_partition(SAME_CYCLE).blocks == (("c0", "c1", "c2", "c3"),)
+    assert bisim_partition(CHAIN).blocks == tuple(
+        (f"k{i}",) for i in range(6))
+    assert bisim_partition(THREE_WAY).blocks == (
+        ("s0", "s2", "s5", "s6"), ("s1",), ("s3",), ("s4",), ("s7",))
+    assert bisim_partition(SHRINKING).blocks == (
+        ("s0", "s3", "s5"), ("s1",), ("s2", "s6"), ("s4",))
