@@ -12,8 +12,18 @@ simulation equivalence.
 
 If pruning eats everything, the initial state is kept as a lone sentinel:
 the "empty approximation", a one-state, zero-transition behavior.
+
+Every stage works on integer ids. Pruning numbers the delegation groups
+by the runs the product builder emits them in, and logs removals as ids
+and transition positions; the projection holds per-state
+(action, destination) ids over the kept states. Product state labels are
+made only when read: by ``PrunedFull.removal_log``, by the projection's
+``states`` and ``transitions``, and by callers such as the DOT export and
+session step records. ``approximate`` pauses the cyclic garbage collector
+while it runs, and restores it after.
 """
 
+import gc
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -49,16 +59,34 @@ class PrunedFull:
     no transitions; and kept transitions are closed under delegation
     groups: whoever keeps one outcome of a delegated request keeps all of
     its sibling outcomes and their destinations.
+
+    ``removals`` holds (round, kind, item) in deletion order, where the item
+    is a state id for a dead end and a position in ``base.transitions`` for
+    a risky transition; ``removal_log`` labels them when read.
     """
 
     base: FullEnactedSystem
     kept_state_ids: tuple
     kept_transitions: tuple
-    removal_log: tuple
+    removals: tuple
 
     @property
     def is_empty(self) -> bool:
         return not self.kept_transitions
+
+    @cached_property
+    def removal_log(self) -> tuple:
+        label = self.base.state_label
+        transitions = self.base.transitions
+        log = []
+        for rnd, kind, item in self.removals:
+            if kind == KIND_RISKY:
+                s, a, k, d = transitions[item]
+                item = (label(s), a, k, label(d))
+            else:
+                item = label(item)
+            log.append(RemovalEntry(rnd, kind, item))
+        return tuple(log)
 
     @cached_property
     def kept_state_set(self) -> frozenset:
@@ -85,25 +113,31 @@ def prune_fixpoint(full: FullEnactedSystem) -> PrunedFull:
     Each round first deletes every state whose outgoing transitions are all
     gone (the initial state is exempt), then deletes, as a unit, every
     delegation group with a member pointing at a state deleted this round.
-    Deletions are driven by reverse adjacency, so only transitions entering
-    a freshly dead state are ever re-examined.
+    A group (source, action, index, target part of the destination) is a
+    run of consecutive transitions (see ``product``), so groups are
+    numbered by run boundaries. Deletions are driven by reverse adjacency,
+    so only groups entering a freshly dead state are ever re-examined.
     """
-    trans = full.transitions
-    n, m = len(full.states), len(trans)
-    alive_state = [True] * n
-    alive_trans = [True] * m
+    trans, states = full.transitions, full.states
+    n = len(states)
     out_count = [0] * n
-    in_positions = [[] for _ in range(n)]
-    groups: dict = {}
-    group_key = [None] * m
+    in_groups: list[list[int]] = [[] for _ in range(n)]
+    starts = []  # group g is trans[starts[g]:starts[g + 1]]
+    g = -1
+    ps = pa = pk = pt = None
     for pos, (s, a, k, d) in enumerate(trans):
+        t = states[d][1]
+        if k != pk or s != ps or t != pt or a != pa:
+            ps, pa, pk, pt = s, a, k, t
+            starts.append(pos)
+            g += 1
         out_count[s] += 1
-        in_positions[d].append(pos)
-        key = (s, a, k, full.target_part(d))
-        groups.setdefault(key, []).append(pos)
-        group_key[pos] = key
+        in_groups[d].append(g)
+    starts.append(len(trans))
+    alive_group = [True] * (g + 1)
+    alive_state = [True] * n
 
-    log = []
+    removals = []
     init = full.initial
     newly_dead_candidates = [i for i in range(n) if out_count[i] == 0]
     rnd = 0
@@ -114,29 +148,21 @@ def prune_fixpoint(full: FullEnactedSystem) -> PrunedFull:
             if alive_state[i] and i != init and out_count[i] == 0:
                 alive_state[i] = False
                 dead_this_round.append(i)
-                log.append(RemovalEntry(rnd, KIND_DEAD_END,
-                                        full.state_label(i)))
+                removals.append((rnd, KIND_DEAD_END, i))
         newly_dead_candidates = []
 
-        doomed_groups = []
-        seen = set()
-        for i in dead_this_round:
-            for pos in in_positions[i]:
-                key = group_key[pos]
-                if alive_trans[pos] and key not in seen:
-                    seen.add(key)
-                    doomed_groups.append(key)
         removed = 0
-        for key in doomed_groups:
-            for pos in groups[key]:
-                if not alive_trans[pos]:
+        for i in dead_this_round:
+            for g in in_groups[i]:
+                if not alive_group[g]:
                     continue
-                alive_trans[pos] = False
-                removed += 1
-                s, a, k, d = trans[pos]
-                log.append(RemovalEntry(rnd, KIND_RISKY, (
-                    full.state_label(s), a, k, full.state_label(d))))
-                out_count[s] -= 1
+                alive_group[g] = False
+                first, end = starts[g], starts[g + 1]
+                removed += end - first
+                removals.extend((rnd, KIND_RISKY, pos)
+                                for pos in range(first, end))
+                s = trans[first][0]
+                out_count[s] -= end - first
                 if out_count[s] == 0 and alive_state[s]:
                     newly_dead_candidates.append(s)
 
@@ -147,30 +173,79 @@ def prune_fixpoint(full: FullEnactedSystem) -> PrunedFull:
         # Nothing survives from the initial state: collapse to the sentinel.
         # (Cyclic fragments may still be "alive" but are unreachable; they
         # are dropped here, without removal-log entries of their own.)
-        return PrunedFull(full, (init,), (), tuple(log))
+        return PrunedFull(full, (init,), (), tuple(removals))
 
     kept_states = tuple(i for i in range(n) if alive_state[i])
-    kept_trans = tuple(t for pos, t in enumerate(trans) if alive_trans[pos])
-    return PrunedFull(full, kept_states, kept_trans, tuple(log))
+    kept_trans = tuple(t for g, alive in enumerate(alive_group) if alive
+                       for t in trans[starts[g]:starts[g + 1]])
+    return PrunedFull(full, kept_states, kept_trans, tuple(removals))
 
 
-def project_indexes(pruned: PrunedFull) -> Ltfs:
-    """Drop delegation indexes; merge transitions that differ only in them.
+@dataclass(frozen=True, eq=False)
+class Projection:
+    """The pruned product with its delegation indexes dropped.
 
-    The i-th state is kept product state ``pruned.kept_state_ids[i]``,
-    named by its label; the result is typically nondeterministic.
+    State i is kept product state ``pruned.kept_state_ids[i]``. The
+    interned views hold every kept transition as (action index,
+    destination) in ``iadjacency[source]``, in kept order; transitions that
+    differ only in their delegation index stay apart there, which changes
+    no refinement. ``states``, ``initial``, ``transitions`` and
+    ``successors`` name states by their product labels, with such
+    transitions merged; they are built only when read.
+    """
+
+    name: str
+    pruned: PrunedFull
+    initial_index: int
+    actions: tuple
+    iadjacency: tuple
+
+    @cached_property
+    def _labelled(self) -> Ltfs:
+        states = tuple(map(self.pruned.base.state_label,
+                           self.pruned.kept_state_ids))
+        actions = self.actions
+        transitions = dict.fromkeys(
+            (states[s], actions[a], states[d])
+            for s, row in enumerate(self.iadjacency) for a, d in row)
+        return Ltfs(self.name, states, states[self.initial_index],
+                    tuple(transitions))
+
+    @property
+    def states(self) -> tuple:
+        return self._labelled.states
+
+    @property
+    def initial(self) -> str:
+        return self._labelled.initial
+
+    @property
+    def transitions(self) -> tuple:
+        return self._labelled.transitions
+
+    def successors(self, state: str, action: str) -> tuple:
+        return self._labelled.successors(state, action)
+
+
+def project_indexes(pruned: PrunedFull) -> Projection:
+    """Drop delegation indexes, keeping integer ids throughout.
+
+    The i-th state is kept product state ``pruned.kept_state_ids[i]``; the
+    result is typically nondeterministic.
     """
     base = pruned.base
-    name = f"{base.target.name}_pruned"
-    label = {i: base.state_label(i) for i in pruned.kept_state_ids}
-    seen = set()
-    transitions = []
+    kept = pruned.kept_state_ids
+    position = dict(zip(kept, range(len(kept))))
+    action_index: dict = {}
+    rows: list[list] = [[] for _ in kept]
     for s, a, _, d in pruned.kept_transitions:
-        if (s, a, d) not in seen:
-            seen.add((s, a, d))
-            transitions.append((label[s], a, label[d]))
-    return Ltfs(name, tuple(label.values()), base.state_label(base.initial),
-                tuple(transitions))
+        i = action_index.get(a)
+        if i is None:
+            i = action_index[a] = len(action_index)
+        rows[position[s]].append((i, position[d]))
+    return Projection(f"{base.target.name}_pruned", pruned,
+                      position[base.initial], tuple(action_index),
+                      tuple(map(tuple, rows)))
 
 
 @dataclass(frozen=True)
@@ -237,7 +312,7 @@ class ApproxResult:
     target: Ltfs
     full: FullEnactedSystem
     pruned: PrunedFull
-    projection: Ltfs
+    projection: Projection
     partition: Partition
     approx: Ltfs
 
@@ -249,10 +324,8 @@ class ApproxResult:
     def block_members(self) -> dict:
         """Quotient state name -> tuple of kept product state ids."""
         kept = self.pruned.kept_state_ids
-        position = self.projection.state_index
-        return {
-            f"q{i}": tuple(kept[position[s]] for s in block)
-            for i, block in enumerate(self.partition.blocks)}
+        return {f"q{i}": tuple(kept[p] for p in block)
+                for i, block in enumerate(self.partition.members)}
 
     @cached_property
     def block_of_state_id(self) -> dict:
@@ -272,13 +345,25 @@ class ApproxResult:
 
 
 def approximate(system: SystemSpec, target: Ltfs) -> ApproxResult:
-    """Run the full pipeline and keep every stage's artifact."""
-    full = full_enacted_system(system, target)
-    pruned = prune_fixpoint(full)
-    projection = project_indexes(pruned)
-    partition = bisim_partition(projection)
-    compressed = quotient(projection, partition).renamed(
-        f"{target.name}_approx")
+    """Run the full pipeline and keep every stage's artifact.
+
+    The cyclic garbage collector is paused meanwhile and then restored to
+    its prior state: the pipeline allocates only acyclic tuples, lists,
+    sets and ints, and collections would walk the growing heap again and
+    again.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        full = full_enacted_system(system, target)
+        pruned = prune_fixpoint(full)
+        projection = project_indexes(pruned)
+        partition = bisim_partition(projection)
+        compressed = quotient(projection, partition).renamed(
+            f"{target.name}_approx")
+    finally:
+        if enabled:
+            gc.enable()
     return ApproxResult(system, target, full, pruned, projection, partition,
                         compressed)
 

@@ -112,6 +112,20 @@ def _raw_behavior(node, location):
 #: libyaml's loader when PyYAML was built with it, else the pure one.
 _LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
+#: Forms that libyaml reads where the pure loader rejects them or reads
+#: them otherwise: a tab, a ``!`` tag, a byte order mark, a ``?`` (which
+#: ends a plain scalar in a flow collection only for the pure loader), and
+#: a block scalar header followed directly by ``#``. Text holding one goes
+#: to the pure loader alone; the fixed-shape writer never produces them.
+_PURE_ONLY = re.compile(r"[\t!?\ufeff]|[|>][-+0-9]*#")
+
+
+def _pure_only(text):
+    """Whether ``_PURE_ONLY`` matches. Scanning for each character it needs
+    is many times faster than the regex, and rules out most texts."""
+    return (any(c in text for c in "\t!?\ufeff#")
+            and _PURE_ONLY.search(text) is not None)
+
 
 def _load_document(text):
     """Load YAML text; a syntax error reads as the pure loader words it.
@@ -120,10 +134,9 @@ def _load_document(text):
     parsed again by the pure loader, whose message ``[E_PARSE]`` carries.
     libyaml takes text as UTF-8, so a lone surrogate, which the pure
     loader reports as an unacceptable character, fails it at encoding.
-    libyaml reads a few malformed documents that the pure loader rejects,
-    such as a tab inside a plain scalar.
+    Text with a form libyaml reads differently (``_PURE_ONLY``) skips it.
     """
-    if _LOADER is not yaml.SafeLoader:
+    if _LOADER is not yaml.SafeLoader and not _pure_only(text):
         try:
             return yaml.load(text, Loader=_LOADER)
         except (yaml.YAMLError, UnicodeEncodeError):

@@ -83,6 +83,10 @@ class Ltfs:
     def state_index(self) -> dict:
         return {s: i for i, s in enumerate(self.states)}
 
+    @property
+    def initial_index(self) -> int:
+        return self.state_index[self.initial]
+
     @cached_property
     def actions(self) -> tuple[str, ...]:
         """Action alphabet in first-appearance order over the transitions."""

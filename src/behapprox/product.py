@@ -15,6 +15,21 @@ interning states to dense integers in discovery order; discovery order
 itself is fixed by declaration order of behaviors, transitions and indexes,
 so the products are deterministic artifacts.
 
+During the search a state is a mixed-radix int: with ``x_k`` the index of
+behavior k's state and ``t`` the target's,
+``code = sum(x_k * stride_k) + t * stride_T``, where each stride is the
+product of the state counts before it. Moving behavior k from ``x`` to
+``d`` adds ``(d - x) * stride_k``; these deltas come from tables built
+once per behavior, indexed by state digit (and action), in declared order.
+``states`` is decoded from the codes once, at the end.
+
+The paired product emits, per source state, each target transition
+combined with each behavior in turn, all of that behavior's successors in
+a row. Target transitions are distinct, so a delegation group, the
+transitions sharing (source, action, index, target part of the
+destination), is exactly one run of consecutive entries of
+``transitions``; the pruning stage relies on this.
+
 State labels join behavior state names with ``,`` and append the target
 state after ``|``. When some state name holds ``\\``, ``,`` or ``|``, each
 such character is escaped with a backslash, so distinct states always get
@@ -147,38 +162,86 @@ def _require_nonempty(system: SystemSpec) -> None:
             "cannot build a product over a system with no behaviors")
 
 
-def _reachable(initial, moves) -> tuple:
-    """(states, transitions) reachable from ``initial``, breadth first.
+def _reachable(initial: int, moves) -> tuple:
+    """(state codes, transitions) reachable from ``initial``, breadth first.
 
-    ``moves(state)`` yields (action, index, successor) in declared order.
-    The discovery list is the queue, so a state's id is its position.
+    ``moves(code)`` yields (action, index, successor code) in declared
+    order. The discovery list is the queue, so a state's id is its position.
     """
     ids = {initial: 0}
     order = [initial]
     transitions = []
-    for state in order:
-        i = ids[state]  # the interned int, shared with incoming transitions
-        for a, k, nxt in moves(state):
+    for code in order:
+        i = ids[code]  # the interned int, shared with incoming transitions
+        for a, k, nxt in moves(code):
             j = ids.get(nxt)
             if j is None:
                 j = ids[nxt] = len(order)
                 order.append(nxt)
             transitions.append((i, a, k, j))
-    return tuple(order), tuple(transitions)
+    return order, tuple(transitions)
+
+
+def _strides(models) -> list:
+    """The stride of each model's digit in a state code, then the total."""
+    strides = [1]
+    for m in models:
+        strides.append(strides[-1] * len(m.states))
+    return strides
+
+
+def _encode(models, names, strides) -> int:
+    return sum(m.state_index[x] * stride
+               for m, x, stride in zip(models, names, strides))
+
+
+def _moves_by_digit(model, stride: int) -> list:
+    """Per state digit x, the (action, code delta) of each of its moves in
+    declared order; moving from digit x to digit d adds ``(d - x) * stride``."""
+    index = model.state_index
+    rows: list[list] = [[] for _ in model.states]
+    for s, a, d in model.transitions:
+        x = index[s]
+        rows[x].append((a, (index[d] - x) * stride))
+    return rows
+
+
+def _decoder(behaviors, strides):
+    """Behavior part of a state code -> tuple of behavior state names, one
+    tuple per distinct part, shared by every state that holds it."""
+    layout = tuple((stride, b.states, len(b.states))
+                   for b, stride in zip(behaviors, strides))
+    cache: dict = {}
+
+    def names(code):
+        tup = cache.get(code)
+        if tup is None:
+            tup = cache[code] = tuple(
+                states[code // stride % size]
+                for stride, states, size in layout)
+        return tup
+    return names
 
 
 def enacted_system(system: SystemSpec) -> EnactedSystem:
     """Build the asynchronous product of the system's behaviors."""
     _require_nonempty(system)
-    indexed = tuple(enumerate(system.behaviors, start=1))
+    behaviors = system.behaviors
+    strides = _strides(behaviors)
+    layout = tuple(
+        (k, stride, len(b.states),
+         tuple(map(tuple, _moves_by_digit(b, stride))))
+        for k, (b, stride) in enumerate(zip(behaviors, strides), start=1))
 
-    def moves(tup):
-        for k, b in indexed:
-            for _, a, d in b.transitions_from(tup[k - 1]):
-                yield a, k, tup[:k - 1] + (d,) + tup[k:]
+    def moves(code):
+        for k, stride, size, rows in layout:
+            for a, delta in rows[code // stride % size]:
+                yield a, k, code + delta
 
-    states, transitions = _reachable(system.initial_tuple, moves)
-    return EnactedSystem(system, states, 0, transitions)
+    codes, transitions = _reachable(
+        _encode(behaviors, system.initial_tuple, strides), moves)
+    names = _decoder(behaviors, strides)
+    return EnactedSystem(system, tuple(map(names, codes)), 0, transitions)
 
 
 def full_enacted_system(system: SystemSpec, target: Ltfs) -> FullEnactedSystem:
@@ -189,15 +252,34 @@ def full_enacted_system(system: SystemSpec, target: Ltfs) -> FullEnactedSystem:
     such combination are dead ends and stay in.
     """
     _require_nonempty(system)
-    indexed = tuple(enumerate(system.behaviors, start=1))
+    behaviors = system.behaviors
+    strides = _strides(behaviors)
+    span = strides[-1]  # the target digit's stride
+    layout = []  # per behavior: index, stride, size, {action: deltas}
+    for k, (b, stride) in enumerate(zip(behaviors, strides), start=1):
+        rows = []
+        for moves_at in _moves_by_digit(b, stride):
+            by_action: dict = {}
+            for a, delta in moves_at:
+                by_action.setdefault(a, []).append(delta)
+            rows.append({a: tuple(v) for a, v in by_action.items()})
+        layout.append((k, stride, len(b.states), tuple(rows)))
+    requests = tuple(map(tuple, _moves_by_digit(target, span)))
 
-    def moves(pair):
-        tup, t = pair
-        for _, a, t_next in target.transitions_from(t):
-            for k, b in indexed:
-                for d in b.successors(tup[k - 1], a):
-                    yield a, k, (tup[:k - 1] + (d,) + tup[k:], t_next)
+    def moves(code):
+        here = [(k, rows[code // stride % size])
+                for k, stride, size, rows in layout]
+        for a, delta in requests[code // span]:
+            moved = code + delta
+            for k, row in here:
+                for step in row.get(a, ()):
+                    yield a, k, moved + step
 
-    states, transitions = _reachable(
-        (system.initial_tuple, target.initial), moves)
+    codes, transitions = _reachable(
+        _encode(behaviors + (target,),
+                system.initial_tuple + (target.initial,), strides), moves)
+    names = _decoder(behaviors, strides)
+    t_names = target.states
+    states = tuple((names(code % span), t_names[code // span])
+                   for code in codes)
     return FullEnactedSystem(system, target, states, 0, transitions)

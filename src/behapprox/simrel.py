@@ -11,6 +11,11 @@ Two relations drive everything downstream:
   in the round before, and when a block splits, its largest part keeps
   the block's id, so few states change block.
 
+The partition and the quotient read only a system's interned views
+(``actions``, ``iadjacency``, ``initial_index``), which an ``Ltfs``
+derives from its names and the pipeline's projection holds from the
+start; a partition names its blocks only when ``blocks`` is read.
+
 Simulation equivalence (each side simulates the other from the initial
 states) is the notion of "same observable capability" used throughout:
 quotients are compared to originals with it, and exactness of a candidate
@@ -116,16 +121,42 @@ def sim_equivalent(a: Ltfs, b: Ltfs) -> bool:
     return simulates(a, b) and simulates(b, a)
 
 
-@dataclass(frozen=True)
 class Partition:
     """A partition of a system's states into equivalence blocks.
 
     Blocks are ordered by their smallest member's interned index, and each
     block lists its members in interned order, so the partition (and any
     quotient built from it) is deterministic for a fixed input.
+
+    ``bisim_partition`` keeps the blocks as tuples of state indexes
+    (``members``) and names them from the system's states only when
+    ``blocks`` is read. A partition can also be given by named blocks; it
+    then has no ``members``.
     """
 
-    blocks: tuple  # tuple of tuples of state names
+    def __init__(self, blocks=None, *, members=None, system=None):
+        self.members = members
+        self._system = system
+        self._blocks = blocks
+
+    @property
+    def blocks(self) -> tuple:
+        """The blocks as tuples of state names."""
+        if self._blocks is None:
+            states = self._system.states
+            self._blocks = tuple(tuple(states[i] for i in block)
+                                 for block in self.members)
+        return self._blocks
+
+    def __eq__(self, other):
+        if not isinstance(other, Partition):
+            return NotImplemented
+        return self.blocks == other.blocks
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"Partition({self.blocks!r})"
 
     @cached_property
     def _lookup(self) -> dict:
@@ -136,7 +167,17 @@ class Partition:
 
     @property
     def size(self) -> int:
-        return len(self.blocks)
+        return len(self.blocks if self.members is None else self.members)
+
+    def block_ids(self, system) -> list:
+        """The block number of each of ``system``'s states, by index."""
+        if self.members is None:
+            return [self.block_of(s) for s in system.states]
+        ids = [0] * sum(map(len, self.members))
+        for b, block in enumerate(self.members):
+            for s in block:
+                ids[s] = b
+        return ids
 
 
 def bisim_partition(system: Ltfs) -> Partition:
@@ -158,8 +199,8 @@ def bisim_partition(system: Ltfs) -> Partition:
     the order of splits: blocks are renumbered by their smallest member's
     interned index at the end.
     """
-    n = len(system.states)
     adj = system.iadjacency
+    n = len(adj)
     width = len(system.actions)
     preds: list[list[int]] = [[] for _ in range(n)]
     for s, moves in enumerate(adj):
@@ -200,8 +241,8 @@ def bisim_partition(system: Ltfs) -> Partition:
 
     order: dict = {}  # first-seen order is smallest-member order
     for s, b in enumerate(block_of):
-        order.setdefault(b, []).append(system.states[s])
-    return Partition(tuple(map(tuple, order.values())))
+        order.setdefault(b, []).append(s)
+    return Partition(members=tuple(map(tuple, order.values())), system=system)
 
 
 def quotient(system: Ltfs, partition: Partition | None = None,
@@ -211,20 +252,19 @@ def quotient(system: Ltfs, partition: Partition | None = None,
     With the default (bisimulation) partition the result is the smallest
     system bisimilar to the input. Block k becomes state ``q<k>``; block
     order follows the partition, so names are stable for a fixed input.
+    Transitions are lifted on interned ids, source by source, and keep
+    their first appearance's order.
     """
     if partition is None:
         partition = bisim_partition(system)
-    name_of = {
-        s: f"{prefix}{i}"
-        for i, block in enumerate(partition.blocks) for s in block
-    }
-    states = tuple(f"{prefix}{i}" for i in range(partition.size))
-    transitions = []
-    seen = set()
-    for s, a, d in system.transitions:
-        lifted = (name_of[s], a, name_of[d])
-        if lifted not in seen:
-            seen.add(lifted)
-            transitions.append(lifted)
-    return Ltfs(system.name, states, name_of[system.initial],
-                tuple(transitions))
+    block = partition.block_ids(system)
+    names = tuple(f"{prefix}{i}" for i in range(partition.size))
+    actions = system.actions
+    lifted: dict = {}
+    for s, moves in enumerate(system.iadjacency):
+        source = block[s]
+        for a, d in moves:
+            lifted[source, a, block[d]] = None
+    return Ltfs(system.name, names, names[block[system.initial_index]],
+                tuple((names[s], actions[a], names[d])
+                      for s, a, d in lifted))

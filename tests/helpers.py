@@ -8,6 +8,8 @@ bug in the implementation cannot silently agree with its own check.
 import itertools
 import random
 
+from hypothesis import strategies as st
+
 from behapprox.model import Ltfs, RawBehavior, SystemSpec, validate_behavior
 
 ACTIONS = ("alpha", "beta", "gamma", "delta")
@@ -55,6 +57,139 @@ def random_target(rng: random.Random, n_states: int, actions=ACTIONS,
                   deterministic: bool = True) -> Ltfs:
     return random_ltfs(rng, "target", n_states, actions,
                        deterministic=deterministic)
+
+
+# -- product and pruning oracles -------------------------------------------
+
+def reference_products(system: SystemSpec, target: Ltfs) -> tuple:
+    """(enacted, paired) products as (states, transitions), built by a
+    breadth-first search interning tuples of state names.
+
+    This is the builder as it was before states became mixed-radix codes:
+    ids in discovery order, moves in declared order of target transitions,
+    then behaviors, then each behavior's own transitions.
+    """
+
+    def search(initial, moves):
+        ids = {initial: 0}
+        order = [initial]
+        transitions = []
+        for state in order:
+            for a, k, nxt in moves(state):
+                if nxt not in ids:
+                    ids[nxt] = len(order)
+                    order.append(nxt)
+                transitions.append((ids[state], a, k, ids[nxt]))
+        return tuple(order), tuple(transitions)
+
+    behaviors = list(enumerate(system.behaviors, start=1))
+
+    def enacted_moves(tup):
+        for k, b in behaviors:
+            for _, a, d in b.transitions_from(tup[k - 1]):
+                yield a, k, tup[:k - 1] + (d,) + tup[k:]
+
+    def paired_moves(pair):
+        tup, t = pair
+        for _, a, t_next in target.transitions_from(t):
+            for k, b in behaviors:
+                for d in b.successors(tup[k - 1], a):
+                    yield a, k, (tup[:k - 1] + (d,) + tup[k:], t_next)
+
+    return (search(system.initial_tuple, enacted_moves),
+            search((system.initial_tuple, target.initial), paired_moves))
+
+
+def reference_prune(full) -> tuple:
+    """(kept state ids, kept transitions, labelled removal log) of the
+    pruning fixpoint, with delegation groups keyed by the 4-tuple
+    (source, action, index, target part of the destination) in a dict.
+
+    The log holds (round, kind, item) triples, items labelled as in
+    ``approx.RemovalEntry``.
+    """
+    trans = full.transitions
+    n = len(full.states)
+    alive_state = [True] * n
+    alive_trans = [True] * len(trans)
+    out_count = [0] * n
+    incoming: list[list[int]] = [[] for _ in range(n)]
+    groups: dict = {}
+    for pos, (s, a, k, d) in enumerate(trans):
+        out_count[s] += 1
+        incoming[d].append(pos)
+        groups.setdefault((s, a, k, full.states[d][1]), []).append(pos)
+
+    def key(pos):
+        s, a, k, d = trans[pos]
+        return s, a, k, full.states[d][1]
+
+    label = full.state_label
+    log = []
+    init = full.initial
+    candidates = [i for i in range(n) if out_count[i] == 0]
+    rnd = 0
+    while True:
+        rnd += 1
+        dead = []
+        for i in candidates:
+            if alive_state[i] and i != init and out_count[i] == 0:
+                alive_state[i] = False
+                dead.append(i)
+                log.append((rnd, "dead-end-state", label(i)))
+        candidates = []
+        doomed = []
+        for i in dead:
+            for pos in incoming[i]:
+                if alive_trans[pos] and key(pos) not in doomed:
+                    doomed.append(key(pos))
+        for group in doomed:
+            for pos in groups[group]:
+                alive_trans[pos] = False
+                s, a, k, d = trans[pos]
+                log.append((rnd, "risky-transition",
+                            (label(s), a, k, label(d))))
+                out_count[s] -= 1
+                if out_count[s] == 0 and alive_state[s]:
+                    candidates.append(s)
+        if not dead and not doomed:
+            break
+    if out_count[init] == 0:
+        return (init,), (), log
+    return (tuple(i for i in range(n) if alive_state[i]),
+            tuple(t for pos, t in enumerate(trans) if alive_trans[pos]),
+            log)
+
+
+#: State names of generated problems, some holding the characters that
+#: product labels escape.
+PROBLEM_NAMES = ("s0", "s1", "a,b", "x|y", "p\\q", "s1,", "\\")
+PROBLEM_ACTIONS = ("a", "b", "c")
+
+
+@st.composite
+def behaviors(draw, name):
+    """A behavior with any moves, nondeterministic ones included; states
+    left without a move get the loop policy's idle self-loop."""
+    states = draw(st.lists(st.sampled_from(PROBLEM_NAMES), min_size=1,
+                           max_size=4, unique=True))
+    moves = draw(st.lists(st.tuples(st.sampled_from(states),
+                                    st.sampled_from(PROBLEM_ACTIONS),
+                                    st.sampled_from(states)),
+                          max_size=3 * len(states)))
+    raw = RawBehavior.make(name, states, draw(st.sampled_from(states)),
+                           moves)
+    return validate_behavior(raw, policy="loop")
+
+
+@st.composite
+def problems(draw):
+    """(system, target) of one to three behaviors; the target may be
+    nondeterministic too."""
+    count = draw(st.integers(1, 3))
+    system = SystemSpec.make(
+        [draw(behaviors(f"b{k}")) for k in range(count)])
+    return system, draw(behaviors("t"))
 
 
 # -- simulation oracles ----------------------------------------------------

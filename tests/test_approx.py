@@ -1,8 +1,11 @@
 """The pruning pipeline: fixpoint, projection, quotient, delegations."""
 
+import gc
+import pathlib
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from behapprox.approx import (
     KIND_DEAD_END,
@@ -15,11 +18,14 @@ from behapprox.approx import (
     prune_fixpoint,
     project_indexes,
 )
-from behapprox.errors import ApproxError
+from behapprox.engine import Session
+from behapprox.errors import ApproxError, ProductError
 from behapprox.game import game_approx
-from behapprox.io import parse_target, serialize_target
+from behapprox.io import (parse_problem, parse_target, run_cli,
+                          serialize_target)
 from behapprox.model import SystemSpec
-from behapprox.product import enacted_system, full_enacted_system
+from behapprox.product import (FullEnactedSystem, enacted_system,
+                               full_enacted_system)
 from behapprox.simrel import sim_equivalent, simulates
 
 from conftest import ltfs
@@ -27,9 +33,14 @@ from helpers import (
     bounded_action_sequences,
     composition_exists,
     live_sub_behaviors,
+    problems,
     random_system,
     random_target,
+    reference_prune,
 )
+
+PROBLEM_PATH = pathlib.Path(__file__).resolve().parent.parent / "problems" \
+    / "smarthouse.yaml"
 
 
 def permuted_copy(behavior, rng):
@@ -329,3 +340,58 @@ def test_no_realizable_candidate_strictly_beats_result():
             strictly_better = (simulates(approx, candidate)
                                and not simulates(candidate, approx))
             assert not strictly_better
+
+
+# -- pruning against the dict-keyed group oracle ----------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(problems())
+def test_prune_fixpoint_equals_the_dict_keyed_groups(problem):
+    full = full_enacted_system(*problem)
+    pruned = prune_fixpoint(full)
+    kept_states, kept_transitions, log = reference_prune(full)
+    assert pruned.kept_state_ids == kept_states
+    assert pruned.kept_transitions == kept_transitions
+    assert [(e.round, e.kind, e.item) for e in pruned.removal_log] == log
+
+
+# -- the garbage collector pause and the label-free path ---------------------
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_approximate_restores_the_collector_state(house_system, t_ent,
+                                                  enabled):
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        approximate(house_system, t_ent)
+        assert gc.isenabled() is enabled
+        with pytest.raises(ProductError) as exc:
+            approximate(SystemSpec.make([]), t_ent)
+        assert exc.value.code == "E_EMPTY_SYSTEM"
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_sessions_and_cli_build_no_product_label(monkeypatch, tmp_path,
+                                                 capsys):
+    labelled = []
+    real = FullEnactedSystem.state_label
+
+    def spy(self, i):
+        labelled.append(i)
+        return real(self, i)
+
+    monkeypatch.setattr(FullEnactedSystem, "state_label", spy)
+    result = approximate(*parse_problem(PROBLEM_PATH.read_text()))
+    Session.from_approx(result, requests="target")
+    Session.from_approx(result, requests="approx")
+    assert run_cli(["approx", "--input", str(PROBLEM_PATH),
+                    "--output", str(tmp_path / "approx.yaml")]) == 0
+    assert run_cli(["check", "--input", str(PROBLEM_PATH)]) == 1
+    assert capsys.readouterr().out == "exact: false\n"
+    assert labelled == []
+    # the spy sees the labels a session step reports
+    session = Session.from_approx(result, requests="target")
+    session.step(("t0", "lightOn", "t1"))
+    assert labelled

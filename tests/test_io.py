@@ -1,5 +1,6 @@
 """Problem-document parsing, DOT/ISPL export, and the command line."""
 
+import json
 import os
 import random
 import subprocess
@@ -262,6 +263,32 @@ def test_round_trip_through_the_pure_loader(monkeypatch, house_system, t_ent):
     assert parse_problem(text) == (house_system, t_ent)
     assert parse_target(serialize_target(t_ent)) == t_ent
     assert used == [yaml.SafeLoader, yaml.SafeLoader]
+
+
+#: Documents libyaml reads but the pure loader rejects.
+LIBYAML_ONLY = {
+    "tab-in-plain-scalar": "a: ~\t~yes",
+    "literal-header-comment": "a: |#\n  x",
+    "folded-header-comment": "a: >#\n  x",
+    "question-mark-in-flow": "a: [b?c]",
+}
+
+
+@pytest.mark.parametrize("text", LIBYAML_ONLY.values(),
+                         ids=LIBYAML_ONLY.keys())
+def test_what_the_pure_loader_rejects_is_a_syntax_error(text):
+    with pytest.raises(yaml.YAMLError) as pure:
+        yaml.load(text, Loader=yaml.SafeLoader)
+    with pytest.raises(ParseError) as err:
+        io._load_document(text)
+    assert err.value.code == "E_PARSE"
+    assert err.value.message == "bad document syntax: %s" % pure.value
+
+
+def test_an_empty_tagged_node_reads_as_the_pure_loader_reads_it(monkeypatch):
+    used = _spy_on_loaders(monkeypatch)
+    assert io._load_document("a: !") == {"a": None}
+    assert used == [yaml.SafeLoader]
 
 
 # -- DOT ------------------------------------------------------------------
@@ -566,3 +593,52 @@ def test_cli_approx_is_byte_identical_across_hash_seeds(tmp_path):
             outputs.setdefault(instance_seed, set()).add(output.read_bytes())
         assert outputs[instance_seed] == {
             serialize_target(result.approx).encode()}
+
+
+def test_cli_commands_are_byte_identical_across_hash_seeds(tmp_path):
+    # Every command but approx (checked above), on the same two random
+    # nondeterministic problems and on a deterministic one that the game
+    # accepts; each hash seed runs all commands in one process.
+    rng = random.Random(12)
+    deterministic = (random_system(rng, 3, 4, deterministic=True),
+                     random_target(rng, 4))
+    problems = {}
+    for instance_seed in (9, 10):
+        rng = random.Random(instance_seed)
+        problems[instance_seed] = (random_system(rng, 4, 5),
+                                   random_target(rng, 5))
+    problems["det"] = deterministic
+    commands = [["check"], ["game-approx"],
+                ["game-approx", "--mode", "universal"],
+                ["export", "--format", "dot"], ["export", "--format", "ispl"],
+                ["export", "--format", "problem"]]
+    script = ("import contextlib, io, json, sys\n"
+              "from behapprox.io import run_cli\n"
+              "results = []\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    out, err = io.StringIO(), io.StringIO()\n"
+              "    with contextlib.redirect_stdout(out), "
+              "contextlib.redirect_stderr(err):\n"
+              "        code = run_cli(argv)\n"
+              "    results.append([code, out.getvalue(), err.getvalue()])\n"
+              "print(json.dumps(results))\n")
+    for key, (system, target) in problems.items():
+        problem = tmp_path / ("problem_%s.yaml" % key)
+        problem.write_text(serialize_problem(system, target))
+        argvs = [argv + ["--input", str(problem)] for argv in commands]
+        outputs = set()
+        for hash_seed in ("1", "2"):
+            run = subprocess.run(
+                [sys.executable, "-c", script, json.dumps(argvs)],
+                capture_output=True, text=True,
+                env=dict(os.environ, PYTHONHASHSEED=hash_seed))
+            assert run.returncode == 0, run.stderr
+            outputs.add(run.stdout)
+        assert len(outputs) == 1
+        (results,) = [json.loads(text) for text in outputs]
+        codes = [code for code, _, _ in results]
+        if key == "det":
+            assert codes[1] == 0 and results[1][1].startswith("target:")
+        else:
+            assert codes[1] == codes[2] == 2  # the game refuses them
+        assert codes[3:] == [0, 0, 0]

@@ -1,9 +1,10 @@
-"""The fixed-shape YAML writer against PyYAML's ``safe_dump`` as its oracle.
+"""The YAML writer and reader against PyYAML's pure implementation.
 
 ``serialize_target`` and ``serialize_problem`` must return exactly the
 string that the straightforward ``yaml.safe_dump`` of the record gives,
 for names PyYAML writes plain and for every awkward kind it quotes,
-escapes or folds.
+escapes or folds. ``_load_document`` must read any text as the pure
+``yaml.SafeLoader`` does, although it reads with libyaml where it can.
 """
 
 import yaml
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from behapprox import io
+from behapprox.errors import ParseError
 from behapprox.io import parse_problem, serialize_problem, serialize_target
 from behapprox.model import IDLE_ACTION, Ltfs, SystemSpec
 
@@ -138,3 +140,34 @@ def test_plain_documents_never_reach_safe_dump(
     assert (serialize_problem(house_system, t_ent, {"terminal": "loop"}),
             serialize_target(LABELS), serialize_target(EMPTY)) == expected
     assert parse_problem(expected[0]) == (house_system, t_ent)
+
+
+# -- the reader against the pure loader --------------------------------------
+
+#: YAML's indicators, a few plain characters, a tab and a byte order mark.
+YAML_ALPHABET = " \t\n!#&*-:>?[]{},|'\"%@`aby01~.\ufeff"
+
+
+def _read(load, text):
+    """("value", repr) or ("error", message or exception type)."""
+    try:
+        return "value", repr(load(text))
+    except ParseError as err:
+        return "error", err.message
+    except yaml.YAMLError as err:
+        return "error", "bad document syntax: %s" % err
+    except Exception as err:  # a constructor's own error, e.g. a bad date
+        return "error", type(err).__name__
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.text(YAML_ALPHABET, max_size=14))
+@example("a: ~\t~yes")
+@example("a: |#\n  x")
+@example("a: >1#\n  x")
+@example("a: [b?c]")
+@example("a: !")
+@example("\ufeffa: b\n\ufeff")
+def test_load_document_reads_as_the_pure_loader(text):
+    pure = _read(lambda t: yaml.load(t, Loader=yaml.SafeLoader), text)
+    assert _read(io._load_document, text) == pure

@@ -4,13 +4,15 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from behapprox.errors import ProductError
 from behapprox.model import SystemSpec
 from behapprox.product import enacted_system, full_enacted_system
 
 from conftest import GOLDEN_KEPT_STATES, GOLDEN_KEPT_TRANSITIONS
-from helpers import random_ltfs, random_system, random_target
+from helpers import (problems, random_ltfs, random_system, random_target,
+                     reference_products)
 
 
 def labeled_transitions(product):
@@ -126,3 +128,16 @@ def test_construction_is_deterministic(house_system, t_ent):
     eb = enacted_system(house_system)
     assert ea.states == eb.states
     assert ea.transitions == eb.transitions
+
+
+@settings(max_examples=200, deadline=None)
+@given(problems())
+def test_products_equal_the_name_tuple_search(problem):
+    system, target = problem
+    enacted, paired = reference_products(system, target)
+    es = enacted_system(system)
+    assert (es.states, es.transitions) == enacted
+    fes = full_enacted_system(system, target)
+    assert (fes.states, fes.transitions) == paired
+    labels = [fes.state_label(i) for i in range(len(fes.states))]
+    assert len(set(labels)) == len(labels)
