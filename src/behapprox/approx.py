@@ -30,7 +30,7 @@ from functools import cached_property
 from .errors import ApproxError, E_EMPTY_APPROX
 from .model import Ltfs, SystemSpec
 from .product import FullEnactedSystem, full_enacted_system
-from .simrel import Partition, bisim_partition, quotient, sim_equivalent
+from .simrel import Partition, bisim_partition, quotient
 
 KIND_DEAD_END = "dead-end-state"
 KIND_RISKY = "risky-transition"
@@ -179,6 +179,94 @@ def prune_fixpoint(full: FullEnactedSystem) -> PrunedFull:
     kept_trans = tuple(t for g, alive in enumerate(alive_group) if alive
                        for t in trans[starts[g]:starts[g + 1]])
     return PrunedFull(full, kept_states, kept_trans, tuple(removals))
+
+
+@dataclass(frozen=True, eq=False)
+class DelegationGroups:
+    """A product's delegation groups and requests, numbered by their runs.
+
+    A request, the transitions sharing (source, action, target part of the
+    destination), and a delegation group, which also share the index, are
+    each one run of ``full.transitions`` (see ``product``). Group g serves
+    request ``group_request[g]``, request r leaves state
+    ``request_source[r]``, and ``in_groups[d]`` lists the groups with an
+    outcome in state d.
+    """
+
+    full: FullEnactedSystem
+    group_request: list
+    request_source: list
+    in_groups: list
+
+
+def delegation_groups(full: FullEnactedSystem) -> DelegationGroups:
+    """Number the groups and requests in one pass over the transitions."""
+    states = full.states
+    in_groups: list[list[int]] = [[] for _ in states]
+    group_request, request_source = [], []
+    g = r = -1
+    ps = pa = pk = pt = None
+    for s, a, k, d in full.transitions:
+        t = states[d][1]
+        if s != ps or t != pt or a != pa:
+            ps, pa, pk, pt = s, a, None, t
+            request_source.append(s)
+            r += 1
+        if k != pk:
+            pk = k
+            group_request.append(r)
+            g += 1
+        in_groups[d].append(g)
+    return DelegationGroups(full, group_request, request_source, in_groups)
+
+
+def winning_states(groups: DelegationGroups, universal: bool) -> list:
+    """Per product state, whether it survives the delegation game.
+
+    A greatest fixpoint by counters: a group dies when one of its outcomes
+    dies, and a request when its last group dies. In the universal mode a
+    state dies when any one of its requests dies, and a state where the
+    target has a request that no behavior can execute (so it has no run)
+    starts dead. The survivors are W, the ND-simulation winning set: every
+    target request has a group whose every outcome stays in W (De Giacomo
+    & Sardina, IJCAI 2007). A state whose target part is terminal is in W.
+    In the existential mode a state dies when all of its groups die, so a
+    state with none starts dead. Each group and state is retired once,
+    through the in-groups of the states that die.
+    """
+    full = groups.full
+    group_request, request_source = groups.group_request, groups.request_source
+    live = [0] * len(request_source)  # live groups per request
+    for r in group_request:
+        live[r] += 1
+    requests = [0] * len(full.states)  # live requests per state
+    for s in request_source:
+        requests[s] += 1
+    if universal:
+        target = full.target
+        wanted = {t: len(target.transitions_from(t)) for t in target.states}
+        dead = [i for i, (_, t) in enumerate(full.states)
+                if requests[i] != wanted[t]]
+    else:
+        dead = [i for i, count in enumerate(requests) if not count]
+    alive = [True] * len(full.states)
+    for i in dead:
+        alive[i] = False
+    alive_group = [True] * len(group_request)
+    in_groups = groups.in_groups
+    while dead:
+        for g in in_groups[dead.pop()]:
+            if alive_group[g]:
+                alive_group[g] = False
+                r = group_request[g]
+                live[r] -= 1
+                if not live[r]:
+                    s = request_source[r]
+                    requests[s] -= 1
+                    if alive[s] and (universal or not requests[s]):
+                        alive[s] = False
+                        dead.append(s)
+    return alive
 
 
 @dataclass(frozen=True, eq=False)
@@ -376,7 +464,10 @@ def compute_approx(system: SystemSpec, target: Ltfs) -> Ltfs:
 def check_exact(system: SystemSpec, target: Ltfs) -> bool:
     """Can the system realize the target exactly, nondeterminism and all?
 
-    Holds precisely when the computed approximation has the target's full
-    capability, i.e. the two are simulation-equivalent.
+    Holds precisely when the paired product's initial state is in W, the
+    ND-simulation winning set (see ``winning_states``): whatever the
+    target requests next, some behavior can execute it such that every
+    one of its nondeterministic outcomes keeps that true.
     """
-    return sim_equivalent(compute_approx(system, target), target)
+    full = full_enacted_system(system, target)
+    return winning_states(delegation_groups(full), True)[full.initial]

@@ -11,6 +11,8 @@ import random
 from hypothesis import strategies as st
 
 from behapprox.model import Ltfs, RawBehavior, SystemSpec, validate_behavior
+from behapprox.product import join_label, label_escape
+from behapprox.simrel import quotient
 
 ACTIONS = ("alpha", "beta", "gamma", "delta")
 
@@ -168,28 +170,48 @@ PROBLEM_ACTIONS = ("a", "b", "c")
 
 
 @st.composite
-def behaviors(draw, name):
-    """A behavior with any moves, nondeterministic ones included; states
-    left without a move get the loop policy's idle self-loop."""
+def behaviors(draw, name, deterministic=False):
+    """A behavior with any moves, nondeterministic ones included unless
+    ``deterministic``; states left without a move get the loop policy's
+    idle self-loop."""
     states = draw(st.lists(st.sampled_from(PROBLEM_NAMES), min_size=1,
                            max_size=4, unique=True))
     moves = draw(st.lists(st.tuples(st.sampled_from(states),
                                     st.sampled_from(PROBLEM_ACTIONS),
                                     st.sampled_from(states)),
-                          max_size=3 * len(states)))
+                          max_size=3 * len(states),
+                          unique_by=(lambda m: m[:2]) if deterministic
+                          else None))
     raw = RawBehavior.make(name, states, draw(st.sampled_from(states)),
                            moves)
     return validate_behavior(raw, policy="loop")
 
 
 @st.composite
-def problems(draw):
-    """(system, target) of one to three behaviors; the target may be
-    nondeterministic too."""
+def problems(draw, deterministic=False):
+    """(system, target) of one to three behaviors, deterministic ones only
+    if ``deterministic``; the target may be nondeterministic either way."""
     count = draw(st.integers(1, 3))
     system = SystemSpec.make(
-        [draw(behaviors(f"b{k}")) for k in range(count)])
+        [draw(behaviors(f"b{k}", deterministic)) for k in range(count)])
     return system, draw(behaviors("t"))
+
+
+def unrealizable_nondeterministic_instance() -> tuple:
+    """(system, target) where simulation equivalence of the approximation
+    and the target wrongly said "exact": the 106th draw of two behaviors
+    and a target from ``random.Random(3)``.
+
+    The target is one state looping on gamma and delta. The approximation
+    keeps a gamma step of ``beh1`` that may land in ``s2``, after which no
+    behavior can execute gamma; simulation lets the simulating side pick
+    that branch, while the environment picks it in the system.
+    """
+    rng = random.Random(3)
+    for _ in range(106):
+        system = random_system(rng, rng.randint(1, 2), 3)
+        target = random_target(rng, rng.randint(1, 3))
+    return system, target
 
 
 # -- simulation oracles ----------------------------------------------------
@@ -373,6 +395,118 @@ def composition_exists(system: SystemSpec, target: Ltfs) -> bool:
             break
         winning -= bad
     return (system.initial_tuple, target.initial) in winning
+
+
+# -- game oracle -------------------------------------------------------------
+
+#: The scheduler slot of an opening game state, before any delegation.
+START = "start"
+
+
+class ReferenceGame:
+    """The delegation game as a graph of its own, solved by rounds.
+
+    A state is (behavior state tuple, last scheduled index or ``START``,
+    pending request as a target transition triple), interned in discovery
+    order. In a state, a behavior able to execute the pending request's
+    action is scheduled, and the requester picks the next request from the
+    target state it lands in. This is the game pipeline as it stood before
+    it ran on the paired product, kept as an oracle for deterministic
+    systems.
+    """
+
+    def __init__(self, system: SystemSpec, target: Ltfs):
+        self.system, self.target = system, target
+        opening = [(system.initial_tuple, START, req)
+                   for req in target.transitions_from(target.initial)]
+        self.states = list(dict.fromkeys(opening))
+        ids = {s: i for i, s in enumerate(self.states)}
+        self.initials = tuple(ids[s] for s in opening)
+        #: per state: (scheduled index, next request, successor id)
+        self.table = []
+        for i, (sys_states, _, (_, action, t_next)) in enumerate(self.states):
+            row = []
+            for k in self.honoring_indexes(i):
+                (succ,) = system.behavior(k).successors(sys_states[k - 1],
+                                                        action)
+                moved = sys_states[:k - 1] + (succ,) + sys_states[k:]
+                for req in target.transitions_from(t_next):
+                    nxt = (moved, k, req)
+                    if nxt not in ids:
+                        ids[nxt] = len(self.states)
+                        self.states.append(nxt)
+                    row.append((k, req, ids[nxt]))
+            self.table.append(tuple(row))
+
+    def honoring_indexes(self, i: int) -> tuple:
+        """Behaviors able to execute the pending request's action."""
+        sys_states, _, (_, action, _) = self.states[i]
+        return tuple(k for k, b in enumerate(self.system.behaviors, start=1)
+                     if b.successors(sys_states[k - 1], action))
+
+    def solve(self, mode: str) -> frozenset:
+        """Delete losing states in rounds until a round deletes none.
+
+        existential: some honoring delegation has some next request that
+        stays winning. universal: some honoring delegation stays winning
+        for every next request.
+        """
+        alive = [True] * len(self.states)
+
+        def ok(i: int) -> bool:
+            honoring = self.honoring_indexes(i)
+            if mode == "existential":
+                return any(alive[j] for _, _, j in self.table[i])
+            return any(all(alive[j] for kk, _, j in self.table[i] if kk == k)
+                       for k in honoring)
+
+        changed = True
+        while changed:
+            changed = False
+            for i in range(len(self.states)):
+                if alive[i] and not ok(i):
+                    alive[i] = False
+                    changed = True
+        return frozenset(i for i, a in enumerate(alive) if a)
+
+    def realizable(self) -> bool:
+        """Every opening state wins universally."""
+        members = self.solve("universal")
+        return all(i in members for i in self.initials)
+
+    def approximation(self) -> Ltfs:
+        """The existential winning region as a behavior over target actions.
+
+        A winning state is named by its behavior states and the source of
+        its pending request; every winning move gives a transition on the
+        pending action. What the initial name reaches, breadth first, is
+        quotiented and named ``<target>_approx``.
+        """
+        members = self.solve("existential")
+        escape = label_escape(self.system.behaviors + (self.target,))
+        label = {i: join_label(self.states[i][0], self.states[i][2][0],
+                               escape)
+                 for i in sorted(members)}
+        adjacency: dict = {}
+        for i, src in label.items():
+            action = self.states[i][2][1]
+            for _, _, j in self.table[i]:
+                if j in label:
+                    adjacency.setdefault(src, []).append((action, label[j]))
+        initial = join_label(self.system.initial_tuple, self.target.initial,
+                             escape)
+        order = [initial]
+        seen = {initial}
+        transitions = {}
+        for src in order:  # grows as it goes
+            for action, dst in adjacency.get(src, ()):
+                if dst not in seen:
+                    seen.add(dst)
+                    order.append(dst)
+                transitions[src, action, dst] = None
+        name = f"{self.target.name}_approx"
+        raw = Ltfs(name, tuple(order), initial, tuple(transitions))
+        return quotient(raw).renamed(name)
 
 
 def target_request_sequences(target: Ltfs, depth: int):

@@ -5,7 +5,7 @@ import pathlib
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from behapprox.approx import (
     KIND_DEAD_END,
@@ -37,6 +37,7 @@ from helpers import (
     random_system,
     random_target,
     reference_prune,
+    unrealizable_nondeterministic_instance,
 )
 
 PROBLEM_PATH = pathlib.Path(__file__).resolve().parent.parent / "problems" \
@@ -353,6 +354,15 @@ def test_prune_fixpoint_equals_the_dict_keyed_groups(problem):
     assert pruned.kept_state_ids == kept_states
     assert pruned.kept_transitions == kept_transitions
     assert [(e.round, e.kind, e.item) for e in pruned.removal_log] == log
+
+
+# -- exactness against the first-principles winning set ---------------------
+
+@settings(max_examples=300, deadline=None)
+@given(problems())
+@example(unrealizable_nondeterministic_instance())
+def test_check_exact_equals_composition_exists(problem):
+    assert check_exact(*problem) == composition_exists(*problem)
 
 
 # -- the garbage collector pause and the label-free path ---------------------

@@ -3,11 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from behapprox.approx import check_exact, compute_approx
 from behapprox.errors import GameError
 from behapprox.game import (
-    START,
     build_game,
     extract_approx_from_game,
     game_approx,
@@ -17,7 +17,14 @@ from behapprox.model import SystemSpec
 from behapprox.simrel import sim_equivalent
 
 from conftest import ltfs
-from helpers import composition_exists, random_system, random_target
+from helpers import (
+    START,
+    ReferenceGame,
+    composition_exists,
+    problems,
+    random_system,
+    random_target,
+)
 
 
 @pytest.fixture
@@ -32,27 +39,50 @@ def test_nondeterministic_system_is_rejected(house_system, t_ent):
     assert "gamedev" in str(exc.value)
 
 
+def requests_and_indexes(game, i):
+    """(action, target destination) -> behavior indexes delegated to, over
+    the product transitions leaving state i."""
+    full = game.full
+    table = {}
+    for _, a, k, d in full.transitions_from(i):
+        table.setdefault((a, full.target_part(d)), set()).add(k)
+    return table
+
+
 def test_initials_and_moves(media_system, t_ent):
     game = build_game(media_system, t_ent)
     assert len(game.initials) == 1
     (init,) = game.initials
-    sys_states, sch, req = game.states[init]
-    assert sys_states == ("b0", "c0", "d0")
-    assert sch == START
-    assert req == ("t0", "lightOn", "t1")
-    assert set(game.requester_moves(init)) == {
-        ("t1", "movie", "t2"), ("t1", "music", "t2")}
-    # only the light device can execute lightOn
-    assert game.honoring_indexes(init) == (3,)
+    assert game.states[init] == (("b0", "c0", "d0"), "t0")
+    # only the light device can execute lightOn, the opening request
+    assert requests_and_indexes(game, init) == {("lightOn", "t1"): {3}}
+    (_, _, _, landed) = game.full.transitions_from(init)[0]
+    assert set(requests_and_indexes(game, landed)) == {
+        ("movie", "t2"), ("music", "t2")}
+    # the game graph of its own opens with the same request and delegation
+    reference = ReferenceGame(media_system, t_ent)
+    (ref_init,) = reference.initials
+    assert reference.states[ref_init] == (
+        ("b0", "c0", "d0"), START, ("t0", "lightOn", "t1"))
+    assert reference.honoring_indexes(ref_init) == (3,)
+    assert {req[1:] for _, req, _ in reference.table[ref_init]} == {
+        ("movie", "t2"), ("music", "t2")}
 
 
 def test_unexecutable_request_has_no_honoring_move(media_system, t_ent):
     game = build_game(media_system, t_ent)
-    game_states = [i for i, (_, _, (_, a, _)) in enumerate(game.states)
+    # no behavior has the game action, so no delegation serves it ...
+    assert all(a != "game" for _, a, _, _ in game.full.transitions)
+    # ... and a state where the target may request it loses universally
+    pending = [i for i, (_, t) in enumerate(game.states) if t == "t2"]
+    assert pending
+    assert not set(pending) & solve_safety(game, "universal").members
+    reference = ReferenceGame(media_system, t_ent)
+    game_states = [i for i, (_, _, (_, a, _)) in enumerate(reference.states)
                    if a == "game"]
     assert game_states
     for i in game_states:
-        assert game.honoring_indexes(i) == ()
+        assert reference.honoring_indexes(i) == ()
 
 
 def test_existential_winning_drops_unoffered_actions(media_system, t_ent):
@@ -60,8 +90,10 @@ def test_existential_winning_drops_unoffered_actions(media_system, t_ent):
     winning = solve_safety(game, "existential")
     assert winning.members
     for i in winning.members:
-        _, _, (_, action, _) = game.states[i]
-        assert action not in ("game", "web")
+        kept = {a for _, a, _, d in game.full.transitions_from(i)
+                if d in winning.members}
+        assert kept
+        assert not kept & {"game", "web"}
 
 
 def test_universal_loses_golden_subsystem(media_system, t_ent):
@@ -118,18 +150,23 @@ def test_fixpoint_is_stable():
         system = random_system(rng, rng.randint(1, 3), 3, deterministic=True)
         target = random_target(rng, rng.randint(1, 4))
         game = build_game(system, target)
-        table = game.successor_table
         for mode in ("existential", "universal"):
             members = solve_safety(game, mode).members
             for i in members:
-                honoring = game.honoring_indexes(i)
-                assert honoring
+                # a group is safe when its every outcome stays winning
+                safe = {request for request, ks in
+                        requests_and_indexes(game, i).items()
+                        if any(all(d in members for _, a, kk, d in
+                                   game.full.transitions_from(i)
+                                   if (a, game.full.target_part(d), kk)
+                                   == request + (k,))
+                               for k in ks)}
                 if mode == "existential":
-                    assert any(j in members for _, _, j in table[i])
+                    assert safe
                 else:
-                    assert any(
-                        all(j in members for kk, _, j in table[i] if kk == k)
-                        for k in honoring)
+                    t = game.states[i][1]
+                    assert safe == {(a, d) for _, a, d
+                                    in target.transitions_from(t)}
 
 
 def test_cross_oracle_on_random_deterministic_instances():
@@ -150,3 +187,14 @@ def test_unknown_mode_rejected(media_system, t_ent):
     game = build_game(media_system, t_ent)
     with pytest.raises(ValueError):
         solve_safety(game, "optimistic")
+
+
+@settings(max_examples=150, deadline=None)
+@given(problems(deterministic=True))
+def test_game_equals_the_reference_game(problem):
+    system, target = problem
+    reference = ReferenceGame(system, target)
+    game = build_game(system, target)
+    assert solve_safety(game, "universal").all_initials_winning \
+        == reference.realizable()
+    assert game_approx(system, target) == reference.approximation()

@@ -37,6 +37,7 @@ from helpers import (
     naive_sim_equivalent,
     random_system,
     random_target,
+    unrealizable_nondeterministic_instance,
 )
 
 PROBLEM_PATH = Path(__file__).resolve().parent.parent / "problems" / "smarthouse.yaml"
@@ -446,6 +447,15 @@ def test_cli_check_exit_codes(tmp_path, capsys):
     assert code == 0
     assert capsys.readouterr().out == "exact: true\n"
 
+    # An approximation simulation-equivalent to the target, on a system
+    # whose nondeterminism can still strand a request.
+    unsound = tmp_path / "unsound.yaml"
+    unsound.write_text(
+        serialize_problem(*unrealizable_nondeterministic_instance()))
+    code = run_cli(["check", "--input", str(unsound)])
+    assert capsys.readouterr().out == "exact: false\n"
+    assert code == 1
+
 
 def test_cli_game_approx(tmp_path, capsys, b_audio, b_movie, b_light, t_ent):
     # The game pipeline refuses nondeterministic systems, and the smart
@@ -598,7 +608,8 @@ def test_cli_approx_is_byte_identical_across_hash_seeds(tmp_path):
 def test_cli_commands_are_byte_identical_across_hash_seeds(tmp_path):
     # Every command but approx (checked above), on the same two random
     # nondeterministic problems and on a deterministic one that the game
-    # accepts; each hash seed runs all commands in one process.
+    # accepts; each hash seed runs all commands in one process. ``run``
+    # sends a fixed walk of the target under both resolvers.
     rng = random.Random(12)
     deterministic = (random_system(rng, 3, 4, deterministic=True),
                      random_target(rng, 4))
@@ -625,7 +636,17 @@ def test_cli_commands_are_byte_identical_across_hash_seeds(tmp_path):
     for key, (system, target) in problems.items():
         problem = tmp_path / ("problem_%s.yaml" % key)
         problem.write_text(serialize_problem(system, target))
-        argvs = [argv + ["--input", str(problem)] for argv in commands]
+        walk = tmp_path / ("walk_%s.txt" % key)
+        state, lines = target.initial, []
+        for step in range(12):
+            moves = target.transitions_from(state)
+            request = moves[step % len(moves)]
+            lines.append(" ".join(request))
+            state = request[2]
+        walk.write_text("\n".join(lines) + "\n")
+        argvs = [argv + ["--input", str(problem)] for argv in commands] + [
+            ["run", str(walk), "--input", str(problem), "--resolver",
+             resolver, "--seed", "5"] for resolver in ("adversarial", "random")]
         outputs = set()
         for hash_seed in ("1", "2"):
             run = subprocess.run(
@@ -641,4 +662,5 @@ def test_cli_commands_are_byte_identical_across_hash_seeds(tmp_path):
             assert codes[1] == 0 and results[1][1].startswith("target:")
         else:
             assert codes[1] == codes[2] == 2  # the game refuses them
-        assert codes[3:] == [0, 0, 0]
+        assert codes[3:] == [0, 0, 0, 0, 0]
+        assert all(out.startswith("honored") for _, out, _ in results[6:])
