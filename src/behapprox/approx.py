@@ -13,19 +13,24 @@ simulation equivalence.
 If pruning eats everything, the initial state is kept as a lone sentinel:
 the "empty approximation", a one-state, zero-transition behavior.
 
-Every stage works on integer ids. Pruning numbers the delegation groups
-by the runs the product builder emits them in, and logs removals as ids
-and transition positions; the projection holds per-state
+One greatest-fixpoint engine, ``winning_states``, prunes (existential
+mode, initial state exempt), checks and solves the game, over the groups
+and requests that ``delegation_groups`` finds in one pass.
+
+Every stage works on integer ids. Pruning logs removals as ids and
+transition positions; the projection holds per-state
 (action, destination) ids over the kept states. Product state labels are
 made only when read: by ``PrunedFull.removal_log``, by the projection's
 ``states`` and ``transitions``, and by callers such as the DOT export and
-session step records. ``approximate`` pauses the cyclic garbage collector
-while it runs, and restores it after.
+session step records. ``approximate`` and ``check_exact`` pause the
+cyclic garbage collector while they run.
 """
 
 import gc
+from array import array
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
+from itertools import compress
 
 from .errors import ApproxError, E_EMPTY_APPROX
 from .model import Ltfs, SystemSpec
@@ -108,77 +113,34 @@ class PrunedFull:
 
 
 def prune_fixpoint(full: FullEnactedSystem) -> PrunedFull:
-    """Iterate dead-end and risky-group removal until stable.
+    """Remove dead ends and risky delegation groups until stable.
 
-    Each round first deletes every state whose outgoing transitions are all
-    gone (the initial state is exempt), then deletes, as a unit, every
-    delegation group with a member pointing at a state deleted this round.
-    A group (source, action, index, target part of the destination) is a
-    run of consecutive transitions (see ``product``), so groups are
-    numbered by run boundaries. Deletions are driven by reverse adjacency,
-    so only groups entering a freshly dead state are ever re-examined.
+    This is the existential solve of ``winning_states`` with the initial
+    state exempt. Round r removes the states that die in the solver's
+    round r, then, as units, the groups they kill: the runs from their
+    starts. The survivors and the runs of the live groups are kept; if the
+    initial state has no live group left, it is kept alone, the sentinel.
     """
-    trans, states = full.transitions, full.states
-    n = len(states)
-    out_count = [0] * n
-    in_groups: list[list[int]] = [[] for _ in range(n)]
-    starts = []  # group g is trans[starts[g]:starts[g + 1]]
-    g = -1
-    ps = pa = pk = pt = None
-    for pos, (s, a, k, d) in enumerate(trans):
-        t = states[d][1]
-        if k != pk or s != ps or t != pt or a != pa:
-            ps, pa, pk, pt = s, a, k, t
-            starts.append(pos)
-            g += 1
-        out_count[s] += 1
-        in_groups[d].append(g)
-    starts.append(len(trans))
-    alive_group = [True] * (g + 1)
-    alive_state = [True] * n
-
-    removals = []
+    groups = delegation_groups(full)
     init = full.initial
-    newly_dead_candidates = [i for i in range(n) if out_count[i] == 0]
-    rnd = 0
-    while True:
-        rnd += 1
-        dead_this_round = []
-        for i in newly_dead_candidates:
-            if alive_state[i] and i != init and out_count[i] == 0:
-                alive_state[i] = False
-                dead_this_round.append(i)
-                removals.append((rnd, KIND_DEAD_END, i))
-        newly_dead_candidates = []
-
-        removed = 0
-        for i in dead_this_round:
-            for g in in_groups[i]:
-                if not alive_group[g]:
-                    continue
-                alive_group[g] = False
-                first, end = starts[g], starts[g + 1]
-                removed += end - first
-                removals.extend((rnd, KIND_RISKY, pos)
-                                for pos in range(first, end))
-                s = trans[first][0]
-                out_count[s] -= end - first
-                if out_count[s] == 0 and alive_state[s]:
-                    newly_dead_candidates.append(s)
-
-        if not dead_this_round and removed == 0:
-            break
-
-    if out_count[init] == 0:
-        # Nothing survives from the initial state: collapse to the sentinel.
-        # (Cyclic fragments may still be "alive" but are unreachable; they
-        # are dropped here, without removal-log entries of their own.)
+    solved = winning_states(groups, False, exempt=init)
+    trans, start = full.transitions, groups.group_start
+    del groups  # frees the in-groups before the log and kept runs are built
+    removals = []
+    for rnd, (states, killed) in enumerate(solved.rounds, 1):
+        removals.extend((rnd, KIND_DEAD_END, i) for i in states)
+        for g in killed:
+            removals.extend((rnd, KIND_RISKY, pos)
+                            for pos in range(start[g], start[g + 1]))
+    if not solved.requests[init]:
+        # Unreachable live cycles are dropped without log entries.
         return PrunedFull(full, (init,), (), tuple(removals))
-
-    kept_states = tuple(i for i in range(n) if alive_state[i])
-    kept_trans = tuple(t for g, alive in enumerate(alive_group) if alive
-                       for t in trans[starts[g]:starts[g + 1]])
-    return PrunedFull(full, kept_states, kept_trans, tuple(removals))
+    kept_states = tuple(compress(range(len(full.states)), solved.alive))
+    kept_trans = []
+    for alive, first, end in zip(solved.alive_group, start, start[1:]):
+        if alive:
+            kept_trans += trans[first:end]
+    return PrunedFull(full, kept_states, tuple(kept_trans), tuple(removals))
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,40 +150,59 @@ class DelegationGroups:
     A request, the transitions sharing (source, action, target part of the
     destination), and a delegation group, which also share the index, are
     each one run of ``full.transitions`` (see ``product``). Group g serves
-    request ``group_request[g]``, request r leaves state
-    ``request_source[r]``, and ``in_groups[d]`` lists the groups with an
-    outcome in state d.
+    request ``group_request[g]`` and its run starts at ``group_start[g]``;
+    request r leaves ``request_source[r]``, and ``in_groups[d]`` lists the
+    groups with an outcome in state d.
     """
 
     full: FullEnactedSystem
     group_request: list
+    group_start: array  # ends with the number of transitions
     request_source: list
     in_groups: list
 
 
 def delegation_groups(full: FullEnactedSystem) -> DelegationGroups:
-    """Number the groups and requests in one pass over the transitions."""
-    states = full.states
-    in_groups: list[list[int]] = [[] for _ in states]
-    group_request, request_source = [], []
-    g = r = -1
-    ps = pa = pk = pt = None
-    for s, a, k, d in full.transitions:
-        t = states[d][1]
+    """Number the groups and requests, and record where each group starts:
+    the one scan of ``full.transitions`` for run boundaries."""
+    target_part = [t for _, t in full.states]
+    in_groups: list[list[int]] = [[] for _ in target_part]
+    # Machine ints: a list would keep one int object per group alive.
+    group_request, group_start, request_source = [], array("l"), []
+    mark_start = group_start.append
+    g = r = ps = pk = -1
+    pa = pt = ""
+    for pos, (s, a, k, d) in enumerate(full.transitions):
+        t = target_part[d]
         if s != ps or t != pt or a != pa:
-            ps, pa, pk, pt = s, a, None, t
+            ps, pa, pk, pt = s, a, 0, t  # indexes start at 1
             request_source.append(s)
             r += 1
         if k != pk:
             pk = k
             group_request.append(r)
+            mark_start(pos)
             g += 1
         in_groups[d].append(g)
-    return DelegationGroups(full, group_request, request_source, in_groups)
+    group_start.append(len(full.transitions))
+    return DelegationGroups(full, group_request, group_start, request_source,
+                            in_groups)
 
 
-def winning_states(groups: DelegationGroups, universal: bool) -> list:
-    """Per product state, whether it survives the delegation game.
+@dataclass(frozen=True, eq=False)
+class Solved:
+    """Flags per state and group, live requests per state, and per round
+    the states that died and the groups they killed, in order of death."""
+
+    alive: list
+    alive_group: list
+    requests: list
+    rounds: list
+
+
+def winning_states(groups: DelegationGroups, universal: bool,
+                   exempt: int = -1) -> Solved:
+    """Which product states survive the delegation game, and when others die.
 
     A greatest fixpoint by counters: a group dies when one of its outcomes
     dies, and a request when its last group dies. In the universal mode a
@@ -231,8 +212,12 @@ def winning_states(groups: DelegationGroups, universal: bool) -> list:
     target request has a group whose every outcome stays in W (De Giacomo
     & Sardina, IJCAI 2007). A state whose target part is terminal is in W.
     In the existential mode a state dies when all of its groups die, so a
-    state with none starts dead. Each group and state is retired once,
-    through the in-groups of the states that die.
+    state with none starts dead. The ``exempt`` state never dies: pruning
+    exempts the initial state, to keep the sentinel.
+
+    Dead states are retired first in, first out, each group and state once,
+    through their in-groups. Round 1 is the states that start dead, and
+    round r + 1 those that die while round r's are retired.
     """
     full = groups.full
     group_request, request_source = groups.group_request, groups.request_source
@@ -246,27 +231,34 @@ def winning_states(groups: DelegationGroups, universal: bool) -> list:
         target = full.target
         wanted = {t: len(target.transitions_from(t)) for t in target.states}
         dead = [i for i, (_, t) in enumerate(full.states)
-                if requests[i] != wanted[t]]
+                if requests[i] != wanted[t] and i != exempt]
     else:
-        dead = [i for i, count in enumerate(requests) if not count]
+        dead = [i for i, count in enumerate(requests)
+                if not count and i != exempt]
     alive = [True] * len(full.states)
     for i in dead:
         alive[i] = False
     alive_group = [True] * len(group_request)
     in_groups = groups.in_groups
+    rounds = []
     while dead:
-        for g in in_groups[dead.pop()]:
-            if alive_group[g]:
-                alive_group[g] = False
-                r = group_request[g]
-                live[r] -= 1
-                if not live[r]:
-                    s = request_source[r]
-                    requests[s] -= 1
-                    if alive[s] and (universal or not requests[s]):
-                        alive[s] = False
-                        dead.append(s)
-    return alive
+        retiring, killed, dead = dead, [], []
+        for i in retiring:
+            for g in in_groups[i]:
+                if alive_group[g]:
+                    alive_group[g] = False
+                    killed.append(g)
+                    r = group_request[g]
+                    live[r] -= 1
+                    if not live[r]:
+                        s = request_source[r]
+                        requests[s] -= 1
+                        if alive[s] and (universal or not requests[s]) \
+                                and s != exempt:
+                            alive[s] = False
+                            dead.append(s)
+        rounds.append((retiring, killed))
+    return Solved(alive, alive_group, requests, rounds)
 
 
 @dataclass(frozen=True, eq=False)
@@ -432,26 +424,39 @@ class ApproxResult:
         return {src: tuple(moves) for src, moves in adjacency.items()}
 
 
-def approximate(system: SystemSpec, target: Ltfs) -> ApproxResult:
-    """Run the full pipeline and keep every stage's artifact.
-
-    The cyclic garbage collector is paused meanwhile and then restored to
-    its prior state: the pipeline allocates only acyclic tuples, lists,
-    sets and ints, and collections would walk the growing heap again and
-    again.
+def _collector_paused(run):
+    """``run`` with the cyclic garbage collector paused: the pipelines
+    allocate no cycles, and collections would walk the growing heap again
+    and again. The collector is restored once ``run``'s frame is gone, so
+    its first pass does not walk the locals that ``run`` dropped.
     """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        full = full_enacted_system(system, target)
-        pruned = prune_fixpoint(full)
-        projection = project_indexes(pruned)
-        partition = bisim_partition(projection)
-        compressed = quotient(projection, partition).renamed(
-            f"{target.name}_approx")
-    finally:
-        if enabled:
-            gc.enable()
+    @wraps(run)
+    def paused(system, target):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return run(system, target)
+        finally:
+            if enabled:
+                gc.enable()
+    return paused
+
+
+def compress_pruned(pruned: PrunedFull, name: str) -> tuple:
+    """(projection, partition, quotient named ``name``) of a pruned product."""
+    projection = project_indexes(pruned)
+    partition = bisim_partition(projection)
+    return (projection, partition,
+            quotient(projection, partition).renamed(name))
+
+
+@_collector_paused
+def approximate(system: SystemSpec, target: Ltfs) -> ApproxResult:
+    """Run the full pipeline and keep every stage's artifact."""
+    full = full_enacted_system(system, target)
+    pruned = prune_fixpoint(full)
+    projection, partition, compressed = compress_pruned(
+        pruned, f"{target.name}_approx")
     return ApproxResult(system, target, full, pruned, projection, partition,
                         compressed)
 
@@ -461,6 +466,7 @@ def compute_approx(system: SystemSpec, target: Ltfs) -> Ltfs:
     return approximate(system, target).approx
 
 
+@_collector_paused
 def check_exact(system: SystemSpec, target: Ltfs) -> bool:
     """Can the system realize the target exactly, nondeterminism and all?
 
@@ -470,4 +476,4 @@ def check_exact(system: SystemSpec, target: Ltfs) -> bool:
     one of its nondeterministic outcomes keeps that true.
     """
     full = full_enacted_system(system, target)
-    return winning_states(delegation_groups(full), True)[full.initial]
+    return winning_states(delegation_groups(full), True).alive[full.initial]

@@ -17,9 +17,9 @@ derives from its names and the pipeline's projection holds from the
 start; a partition names its blocks only when ``blocks`` is read.
 
 Simulation equivalence (each side simulates the other from the initial
-states) is the notion of "same observable capability" used throughout:
-quotients are compared to originals with it, and exactness of a candidate
-target is decided by it.
+states) is the notion of "same observable capability" by which results
+are compared, such as a quotient with its original. It does not decide
+exactness: ``approx.check_exact`` reads the ND-simulation winning set.
 """
 
 from collections import deque

@@ -14,9 +14,11 @@ from behapprox.approx import (
     approximate,
     check_exact,
     compute_approx,
+    delegation_groups,
     extract_controller_generator,
     prune_fixpoint,
     project_indexes,
+    winning_states,
 )
 from behapprox.engine import Session
 from behapprox.errors import ApproxError, ProductError
@@ -356,6 +358,30 @@ def test_prune_fixpoint_equals_the_dict_keyed_groups(problem):
     assert [(e.round, e.kind, e.item) for e in pruned.removal_log] == log
 
 
+@settings(max_examples=300, deadline=None)
+@given(problems())
+def test_pruning_is_the_existential_solve_with_the_initial_state_exempt(
+        problem):
+    full = full_enacted_system(*problem)
+    pruned = prune_fixpoint(full)
+    groups = delegation_groups(full)
+    init = full.initial
+    survivors = tuple(i for i, alive
+                      in enumerate(winning_states(groups, False).alive)
+                      if alive)
+    if not pruned.is_empty:
+        assert survivors == pruned.kept_state_ids
+        return
+    assert init not in survivors
+    # with the exemption, the initial state outlives all of its groups
+    alive = winning_states(groups, False, exempt=init).alive
+    start, trans = groups.group_start, full.transitions
+    assert alive[init]
+    assert not any(trans[first][0] == init
+                   and all(alive[d] for *_, d in trans[first:end])
+                   for first, end in zip(start, start[1:]))
+
+
 # -- exactness against the first-principles winning set ---------------------
 
 @settings(max_examples=300, deadline=None)
@@ -373,12 +399,13 @@ def test_approximate_restores_the_collector_state(house_system, t_ent,
     was = gc.isenabled()
     try:
         (gc.enable if enabled else gc.disable)()
-        approximate(house_system, t_ent)
-        assert gc.isenabled() is enabled
-        with pytest.raises(ProductError) as exc:
-            approximate(SystemSpec.make([]), t_ent)
-        assert exc.value.code == "E_EMPTY_SYSTEM"
-        assert gc.isenabled() is enabled
+        for run in (approximate, check_exact):
+            run(house_system, t_ent)
+            assert gc.isenabled() is enabled
+            with pytest.raises(ProductError) as exc:
+                run(SystemSpec.make([]), t_ent)
+            assert exc.value.code == "E_EMPTY_SYSTEM"
+            assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
 

@@ -14,6 +14,7 @@ from behapprox.game import (
     solve_safety,
 )
 from behapprox.model import SystemSpec
+from behapprox.product import FullEnactedSystem
 from behapprox.simrel import sim_equivalent
 
 from conftest import ltfs
@@ -198,3 +199,27 @@ def test_game_equals_the_reference_game(problem):
     assert solve_safety(game, "universal").all_initials_winning \
         == reference.realizable()
     assert game_approx(system, target) == reference.approximation()
+
+
+@settings(max_examples=150, deadline=None)
+@given(problems(deterministic=True))
+def test_extraction_is_the_approximation(problem):
+    system, target = problem
+    game = build_game(system, target)
+    name = f"{target.name}_approx"
+    extracted = extract_approx_from_game(
+        game, solve_safety(game, "existential"), name)
+    assert extracted == game_approx(system, target) \
+        == compute_approx(system, target)
+
+
+def test_extraction_builds_no_product_label(monkeypatch, media_system, t_ent):
+    game = build_game(media_system, t_ent)
+    winning = solve_safety(game, "existential")
+
+    def refuse(self, i):
+        raise AssertionError("a product state label was built")
+
+    monkeypatch.setattr(FullEnactedSystem, "state_label", refuse)
+    extracted = extract_approx_from_game(game, winning)
+    assert sim_equivalent(extracted, compute_approx(media_system, t_ent))
